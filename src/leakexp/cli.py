@@ -18,8 +18,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .channels import ChannelSpec, parse_channel
 from .errors import (
     DegenerateParameterError,
@@ -27,7 +25,7 @@ from .errors import (
     InvariantViolationError,
     SizeLimitError,
 )
-from .exponents import LN2, CURVE_KINDS, critical_rate, curve, expurgation_rate
+from .exponents import LN2, CURVE_KINDS, _fmt, critical_rate, curve, expurgation_rate
 from .gf2 import BinMatrix, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
@@ -35,9 +33,9 @@ from .leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
+    trial_seeds,
+    verify_leakage_bound,
 )
-
-_SLACK_FLOOR = -1e-9
 
 _PRESETS = {
     "fig3": ("bec", 0.5),
@@ -51,10 +49,6 @@ _KIND_FAMILY = {
     "ex-bec": "bec",
     "ex-bsc-reduction": "bsc",
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,11 +82,6 @@ def _channel(args: argparse.Namespace, families: tuple[str, ...] = ("bec", "bsc"
             f"got {spec.describe()!r}"
         )
     return spec
-
-
-def _trial_seeds(seed: int, trials: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63, size=trials, dtype=np.int64)]
 
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
@@ -140,20 +129,14 @@ def _cmd_pml(args: argparse.Namespace) -> int:
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bec",))
     lines = ["trial,leakage_nats,bound_nats,slack_nats"]
-    worst = math.inf
-    for t, s in enumerate(_trial_seeds(args.seed, args.trials)):
-        report = exact_leakage_bec(random_matrix(args.k, args.n, s), spec.eps)
+    for t, s in enumerate(trial_seeds(args.seed, args.trials)):
+        report = verify_leakage_bound(random_matrix(args.k, args.n, s), spec.eps)
         assert report.bound_nats is not None and report.slack_nats is not None
-        worst = min(worst, report.slack_nats)
         lines.append(
             f"{t},{_fmt(report.leakage_nats)},{_fmt(report.bound_nats)},"
             f"{_fmt(report.slack_nats)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
-    if worst < _SLACK_FLOOR:
-        raise InvariantViolationError(
-            f"decoding-error bound violated: worst slack {worst}"
-        )
     return 0
 
 

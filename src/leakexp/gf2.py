@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputParseError, SizeLimitError
+from .errors import InputParseError
 
 __all__ = [
     "BinMatrix",
@@ -18,12 +18,9 @@ __all__ = [
     "rank",
     "submatrix_cols",
     "random_matrix",
-    "min_distance",
     "parse_matrix",
     "format_matrix",
 ]
-
-_MIN_DISTANCE_MAX_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -114,20 +111,27 @@ class IndexSet:
         return i in self.members
 
 
+def insert_reduced(pivots: dict[int, int], v: int) -> bool:
+    """Reduce `v` against `pivots` (vectors keyed by their leading bit).
+
+    A nonzero remainder joins `pivots` and the call returns True; False means
+    `v` already lay in their span. Insertion order is kept, so the dict's
+    values are a basis in the order it was found.
+    """
+    while v:
+        p = v.bit_length() - 1
+        b = pivots.get(p)
+        if b is None:
+            pivots[p] = v
+            return True
+        v ^= b
+    return False
+
+
 def rank(m: BinMatrix) -> int:
     """Rank over GF(2) via row elimination; the empty matrix has rank 0."""
     pivots: dict[int, int] = {}
-    r = 0
-    for v in m.bits:
-        while v:
-            p = v.bit_length() - 1
-            b = pivots.get(p)
-            if b is None:
-                pivots[p] = v
-                r += 1
-                break
-            v ^= b
-    return r
+    return sum(insert_reduced(pivots, v) for v in m.bits)
 
 
 def submatrix_cols(m: BinMatrix, j: IndexSet) -> BinMatrix:
@@ -156,31 +160,6 @@ def random_matrix(k: int, n: int, seed: int) -> BinMatrix:
         sum(int(ent[i, j]) << j for j in range(n)) for i in range(k)
     )
     return BinMatrix(k, n, packed)
-
-
-def min_distance(m: BinMatrix) -> int:
-    """Minimum weight of u @ m over nonzero messages u; 0 when rank-deficient."""
-    k = m.rows
-    if k == 0:
-        raise ValueError("no nonzero messages for an empty message space")
-    if k > _MIN_DISTANCE_MAX_ROWS:
-        raise SizeLimitError(
-            f"min_distance enumerates 2^k codewords; k={k} exceeds {_MIN_DISTANCE_MAX_ROWS}"
-        )
-    if m.cols <= 64:
-        # Doubling build: entry u of `cw` is the codeword for message bitmask u.
-        cw = np.zeros(1, dtype=np.uint64)
-        for b in m.bits:
-            cw = np.concatenate([cw, cw ^ np.uint64(b)])
-        weights = np.bitwise_count(cw[1:])
-        return int(weights.min())
-    # Wide rows exceed uint64; walk messages in Gray-code order instead.
-    word = 0
-    best = m.cols + 1
-    for u in range(1, 1 << k):
-        word ^= m.bits[(u & -u).bit_length() - 1]
-        best = min(best, word.bit_count())
-    return best
 
 
 def parse_matrix(text: str) -> BinMatrix:

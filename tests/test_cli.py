@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import leakexp.cli as cli
+import leakexp.leakage as leakage
 from leakexp.cli import main
 
 LN2 = math.log(2.0)
@@ -171,6 +172,19 @@ class TestVerifyBoundCommand:
             "--trials", "1",
         )
         assert code == 3
+
+    def test_violated_bound_exits_five(self, capsys, monkeypatch, tmp_path):
+        def leaky(m, eps):
+            return leakage.LeakageReport(0.5, 1.0, bound_nats=0.4, slack_nats=-0.1)
+
+        monkeypatch.setattr(leakage, "exact_leakage_bec", leaky)
+        dest = tmp_path / "v.csv"
+        code, out, err = run(
+            capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
+            "--trials", "3", "--out", str(dest),
+        )
+        assert code == 5 and "slack -0.1" in err
+        assert out == "" and not dest.exists()
 
 
 class TestSearchCommand:

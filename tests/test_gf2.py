@@ -1,18 +1,16 @@
 """Tests for the packed GF(2) matrix layer.
 
-Rank and minimum distance are checked against small independent oracles that
-enumerate the row space directly, with no pivoting or packing shared with the
-implementation.
+Rank is checked against a small independent oracle that enumerates the row
+space directly, with no pivoting or packing shared with the implementation.
 """
-import numpy as np
 import pytest
 
-from leakexp.errors import InputParseError, SizeLimitError
+from leakexp.errors import InputParseError
 from leakexp.gf2 import (
     BinMatrix,
     IndexSet,
     format_matrix,
-    min_distance,
+    insert_reduced,
     parse_matrix,
     random_matrix,
     rank,
@@ -29,18 +27,6 @@ def row_space(m: BinMatrix) -> set[int]:
 
 def rank_oracle(m: BinMatrix) -> int:
     return len(row_space(m)).bit_length() - 1
-
-
-def min_distance_oracle(m: BinMatrix) -> int:
-    word = 0
-    best = m.cols + 1
-    for u in range(1, 1 << m.rows):
-        word = 0
-        for i in range(m.rows):
-            if (u >> i) & 1:
-                word ^= m.bits[i]
-        best = min(best, bin(word).count("1"))
-    return best
 
 
 class TestBinMatrix:
@@ -110,6 +96,16 @@ class TestRank:
         m = random_matrix(k, n, seed)
         assert rank(m) == rank_oracle(m)
 
+    def test_insert_reduced_grows_a_basis(self):
+        pivots: dict[int, int] = {}
+        assert insert_reduced(pivots, 0b0110)
+        assert insert_reduced(pivots, 0b0101)
+        assert not insert_reduced(pivots, 0b0011)  # sum of the first two
+        assert not insert_reduced(pivots, 0)
+        assert insert_reduced(pivots, 0b1000)
+        assert len(pivots) == 3
+        assert rank_oracle(BinMatrix(3, 4, tuple(pivots.values()))) == 3
+
     def test_known_values(self):
         assert rank(BinMatrix.from_rows(((1, 1), (1, 1)))) == 1
         assert rank(BinMatrix.from_rows(((1, 1, 0), (0, 1, 1), (1, 0, 1)))) == 2
@@ -152,38 +148,6 @@ class TestRandomMatrix:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="k <= n"):
             random_matrix(3, 2, 0)
-
-
-class TestMinDistance:
-    def test_known_codes(self):
-        # repetition, single parity check, Hamming(7,4)
-        assert min_distance(BinMatrix.from_rows(((1, 1, 1, 1, 1),))) == 5
-        assert min_distance(BinMatrix.from_rows(((1, 1),))) == 2
-        ham = parse_matrix("4 7\n1000110\n0100101\n0010011\n0001111\n")
-        assert min_distance(ham) == 3
-
-    def test_rank_deficient_gives_zero(self):
-        m = BinMatrix.from_rows(((1, 1, 0), (1, 1, 0)))
-        assert min_distance(m) == 0
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_gray_code_oracle(self, seed):
-        m = random_matrix(1 + seed % 5, 6 + seed % 4, 200 + seed)
-        assert min_distance(m) == min_distance_oracle(m)
-
-    def test_wide_matrix_path(self):
-        # n > 64 exercises the Python-int fallback
-        rows = [[1] * 70, [1] + [0] * 69]
-        m = BinMatrix.from_rows(rows)
-        assert min_distance(m) == 1
-
-    def test_empty_message_space_rejected(self):
-        with pytest.raises(ValueError):
-            min_distance(BinMatrix(0, 3, ()))
-
-    def test_row_limit(self):
-        with pytest.raises(SizeLimitError):
-            min_distance(BinMatrix(25, 30, tuple(1 << i for i in range(25))))
 
 
 class TestMatrixText:

@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 from leakexp.channels import bec_joint, bsc_joint, less_noisy_erasure_param
-from leakexp.errors import InputParseError, InvariantViolationError, SizeLimitError
+from leakexp.errors import InvariantViolationError, SizeLimitError
 from leakexp.gf2 import BinMatrix, IndexSet, parse_matrix, random_matrix, rank, submatrix_cols
 from leakexp.leakage import (
     LeakageReport,
     PmlResult,
-    _rank_profile_impl,
     best_matrix_search,
     brute_force_leakage,
     exact_leakage_bec,
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
+    _dfs_profile,
+    _rank_profile,
+    _subset_sum_profile,
     verify_leakage_bound,
 )
 
@@ -77,6 +79,14 @@ class TestBruteForceGate:
             m = random_matrix(2 + seed % 3, 5 + seed % 3, 300 + seed)
             got = exact_leakage_bec(m, 0.35).leakage_nats
             assert abs(got - bec_leakage_oracle(m, 0.35)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    def test_all_ones_row_small_leakage(self, n):
+        # The parity of all n bits leaks ln 2 exactly when nothing is erased;
+        # at n = 24 that is 1.2e-17 nats, far below the ulp of rank(M) * ln 2.
+        m = BinMatrix(1, n, ((1 << n) - 1,))
+        got = exact_leakage_bec(m, 0.8).leakage_nats
+        assert got == pytest.approx(LN2 * 0.2**n, rel=1e-12, abs=0.0)
 
     def test_single_parity_row(self):
         # parity of 2 bits leaks unless at least one bit is erased
@@ -183,6 +193,18 @@ class TestMonteCarloPml:
         exact = p_ml_erasure(m, 0.3).value
         assert abs(got.value - exact) <= 3 * got.ci_halfwidth
 
+    def test_interval_without_observed_errors(self):
+        # P_ML of this code at erasure 0.02 is 1.6e-7: 50000 samples see no
+        # error, yet the interval must not claim the estimate 0 is exact.
+        rows = ["1101000110110010", "0110101001011100",
+                "1011010011100101", "0001111010001111"]
+        m = parse_matrix("4 16\n" + "".join(r + "\n" for r in rows))
+        got = mc_p_ml_erasure(m, 0.02, 50000, 1)
+        exact = p_ml_erasure(m, 0.02).value
+        assert got.value == 0.0 and 1e-7 < exact < 2e-7
+        assert got.ci_halfwidth > 0.0
+        assert abs(got.value - exact) <= 3 * got.ci_halfwidth
+
     def test_seed_changes_estimate(self):
         m = parse_matrix("2 4\n1010\n0110\n")
         a = mc_p_ml_erasure(m, 0.3, 2000, 1).value
@@ -241,19 +263,12 @@ class TestLessNoisyDomination:
 class TestRankProfileParallel:
     @pytest.mark.parametrize("seed", range(5))
     def test_partitioning_is_invisible(self, seed):
+        # k runs over 3, 4, 5: both sides of the split between the
+        # depth-first walk (k <= 3) and the subset-sum transform (k >= 4).
         m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
-        assert _rank_profile_impl(m, 0) == _rank_profile_impl(m, 3)
-
-    def test_thread_env_validation(self, monkeypatch):
-        m = random_matrix(2, 6, 0)
-        monkeypatch.setenv("LEAKEXP_THREADS", "soon")
-        with pytest.raises(InputParseError):
-            _rank_profile_impl(m, 2)
-        monkeypatch.setenv("LEAKEXP_THREADS", "-1")
-        with pytest.raises(InputParseError):
-            _rank_profile_impl(m, 2)
-        monkeypatch.setenv("LEAKEXP_THREADS", "2")
-        assert _rank_profile_impl(m, 2) == _rank_profile_impl(m, 0)
+        dfs = tuple(map(tuple, _dfs_profile(m)))
+        assert tuple(map(tuple, _subset_sum_profile(m))) == dfs
+        assert _rank_profile(m) == dfs
 
 
 class TestBestMatrixSearch:

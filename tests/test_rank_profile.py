@@ -1,0 +1,56 @@
+"""The two rank-profile builders against each other and a per-mask oracle.
+
+The depth-first walk and the subset-sum transform share no code beyond the
+row basis; the oracle counts every column subset with gf2.rank on an
+explicit column submatrix.
+"""
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from leakexp.gf2 import BinMatrix, IndexSet, rank, submatrix_cols
+from leakexp.leakage import _dfs_profile, _rank_profile, _subset_sum_profile
+
+
+def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
+    counts = [[0] * (m.rows + 1) for _ in range(m.cols + 1)]
+    for mask in range(1 << m.cols):
+        cols = IndexSet(m.cols, {j + 1 for j in range(m.cols) if (mask >> j) & 1})
+        counts[len(cols)][rank(submatrix_cols(m, cols))] += 1
+    return tuple(map(tuple, counts))
+
+
+def from_columns(k: int, cols: list[int]) -> BinMatrix:
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
+    return BinMatrix(k, len(cols), rows)
+
+
+@st.composite
+def matrices(draw) -> BinMatrix:
+    """Up to 12 columns and up to one row more than columns; columns are drawn
+    partly from a small pool, so zero and repeated columns are common."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, n + 1))
+    column = st.integers(0, (1 << k) - 1)
+    pool = draw(st.lists(column, min_size=1, max_size=3))
+    cols = draw(st.lists(st.one_of(column, st.sampled_from(pool)), min_size=n, max_size=n))
+    return from_columns(k, cols)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(matrices())
+@example(BinMatrix(0, 0, ()))
+@example(BinMatrix(0, 5, ()))
+@example(BinMatrix(3, 0, (0, 0, 0)))
+@example(BinMatrix.identity(6))
+@example(BinMatrix(4, 7, (0,) * 4))
+@example(from_columns(5, [3, 3, 0, 5, 6, 3, 0, 5]))
+@example(BinMatrix.from_rows(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))))
+def test_builders_match_per_mask_ranks(m):
+    dfs = tuple(map(tuple, _dfs_profile(m)))
+    transform = tuple(map(tuple, _subset_sum_profile(m)))
+    assert dfs == transform
+    assert dfs == per_mask_profile(m)
+    assert _rank_profile(m) == dfs
