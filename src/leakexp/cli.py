@@ -29,6 +29,7 @@ from .exponents import LN2, CURVE_KINDS, _fmt, critical_rate, curve, expurgation
 from .gf2 import BinMatrix, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
+    check_enum_cols,
     exact_leakage_bec,
     exact_leakage_bsc,
     mc_p_ml_erasure,
@@ -128,6 +129,7 @@ def _cmd_pml(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bec",))
+    check_enum_cols(args.n)
     lines = ["trial,leakage_nats,bound_nats,slack_nats"]
     for t, s in enumerate(trial_seeds(args.seed, args.trials)):
         report = verify_leakage_bound(random_matrix(args.k, args.n, s), spec.eps)
@@ -235,6 +237,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     spec = _channel(args)
+    if not math.isfinite(args.rate):
+        raise InputParseError(f"--rate must be finite, got {args.rate}")
     try:
         sizes = [int(tok) for tok in args.n.split(",") if tok.strip() != ""]
     except ValueError:

@@ -371,8 +371,8 @@ def curve(
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if not 0.0 <= r_min < r_max:
-        raise ValueError("need 0 <= r_min < r_max")
+    if not 0.0 <= r_min < r_max < math.inf:
+        raise ValueError("need 0 <= r_min < r_max < inf")
     evaluator = _curve_evaluator(kind, channel_param, src)
     span = r_max - r_min
     points = []

@@ -6,7 +6,7 @@ External column indices are 1-based, the packed representation is private.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,9 +14,7 @@ from .errors import InputParseError
 
 __all__ = [
     "BinMatrix",
-    "IndexSet",
     "rank",
-    "submatrix_cols",
     "random_matrix",
     "parse_matrix",
     "format_matrix",
@@ -84,33 +82,6 @@ class BinMatrix:
         return tuple(cols)
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Subset of column positions {1, ..., n} with its ambient length n."""
-
-    n: int
-    members: frozenset[int]
-
-    def __init__(self, n: int, members: Iterable[int] = ()) -> None:
-        ms = frozenset(members)
-        if n < 0:
-            raise ValueError("ambient length must be >= 0")
-        for i in ms:
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} outside 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", ms)
-
-    def complement(self) -> "IndexSet":
-        return IndexSet(self.n, frozenset(range(1, self.n + 1)) - self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-
 def insert_reduced(pivots: dict[int, int], v: int) -> bool:
     """Reduce `v` against `pivots` (vectors keyed by their leading bit).
 
@@ -132,20 +103,6 @@ def rank(m: BinMatrix) -> int:
     """Rank over GF(2) via row elimination; the empty matrix has rank 0."""
     pivots: dict[int, int] = {}
     return sum(insert_reduced(pivots, v) for v in m.bits)
-
-
-def submatrix_cols(m: BinMatrix, j: IndexSet) -> BinMatrix:
-    """Columns of `m` selected by `j` in ascending original order."""
-    if j.n != m.cols:
-        raise ValueError(f"index set over 1..{j.n} does not match {m.cols} columns")
-    sel = sorted(j.members)
-    packed = []
-    for b in m.bits:
-        v = 0
-        for t, col in enumerate(sel):
-            v |= ((b >> (col - 1)) & 1) << t
-        packed.append(v)
-    return BinMatrix(m.rows, len(sel), tuple(packed))
 
 
 def random_matrix(k: int, n: int, seed: int) -> BinMatrix:

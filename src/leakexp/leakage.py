@@ -1,19 +1,16 @@
 """Exact eavesdropper-leakage accounting for linear hashes over binary side channels.
 
 The secret is S = X @ M^T for a uniform n-bit string X observed by the
-eavesdropper through a memoryless channel. Everything here reduces to
-column-subset ranks of M, aggregated once per matrix into a profile
-counting subsets by (size, rank); erasure-side quantities and the
-maximum-likelihood erasure decoding error are weighted sums over it.
+eavesdropper through a memoryless channel. Both channels see M through the
+2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
+column-subset ranks of M, aggregated once per matrix into a profile counting
+subsets by (size, rank): for k <= 3 rows by a depth-first walk that closes a
+subtree with binomials once the rank reaches k, above that by a subset-sum
+transform over the codeword supports in O(n 2^n). Bit-flip leakage needs
+only the codeword weights and one Walsh-Hadamard transform, O(r 2^r).
 
-The profile is built serially in one of two ways, chosen by the row count
-k: for k <= 3 a depth-first walk over column subsets that closes a subtree
-with binomials once the rank reaches k; above that a subset-sum transform
-over the supports of the codewords, which costs O(n 2^n) whatever k is.
-
-Enumeration limits: 2^n patterns with n <= 26 for the exact paths, and
-|Z|^n * 2^n for the brute-force oracle (n <= 12 for the 3-letter erasure
-alphabet, n <= 14 for the 2-letter one).
+Limits: n <= 26 for the exact paths; the brute-force oracle costs |Z|^n 2^n
+(n <= 12 for erasure observations, n <= 14 for bit-flip ones).
 """
 from __future__ import annotations
 
@@ -45,11 +42,21 @@ _ENUM_MAX_COLS = 26
 _BRUTE_MAX_COLS = {2: 14, 3: 12}
 _SLACK_FLOOR = -1e-9
 _MC_CHUNK = 1 << 16
-_PROFILE_CHUNK = 1 << 16
+# Entries of a 2^n or 2^r table handled per numpy block.
+_CHUNK = 1 << 16
 # Up to this many rows the DFS builds the profile, above it the subset-sum
 # transform. Median single builds on random matrices (2-vCPU VM, numpy 2.4):
 # 2x24 DFS 64 ms, transform 272 ms; 4x24 603 and 316 ms; 10x20 1015 and 21 ms.
 _DFS_MAX_ROWS = 3
+# Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
+# (a pass per level takes the 2^r table through memory r times), each over at
+# most 2^7 rows or columns: BLAS keeps products that small on one thread, and
+# handing them to threads cost more than it saved, up to 10x on a busy host.
+_WHT_LEVELS = 4
+_WHT_COLS_BITS = 7
+# phi(e) = e^2 sum_{j>=2} (-e)^(j-2) / (j (j-1)) below |e| = 0.01, where
+# (1+e) log1p(e) - e cancels; eight terms give 1e-17 relative.
+_PHI_SERIES = [1.0 / (j * (j - 1)) for j in range(9, 1, -1)]  # for np.polyval
 
 _COMB = [[math.comb(r, t) for t in range(r + 1)] for r in range(_ENUM_MAX_COLS + 1)]
 
@@ -90,10 +97,11 @@ class PmlResult:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _check_enum_cols(m: BinMatrix) -> None:
-    if m.cols > _ENUM_MAX_COLS:
+def check_enum_cols(n: int) -> None:
+    """Raise SizeLimitError unless n columns are within the exact paths' cap."""
+    if n > _ENUM_MAX_COLS:
         raise SizeLimitError(
-            f"matrix has {m.cols} columns; 2^n enumeration capped at n={_ENUM_MAX_COLS}"
+            f"matrix has {n} columns; 2^n enumeration capped at n={_ENUM_MAX_COLS}"
         )
 
 
@@ -152,12 +160,8 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
     n, k = m.cols, m.rows
     basis = _row_basis(m)
     r = len(basis)
-    cw = np.zeros(1 << r, dtype=np.uint32)
-    for i, b in enumerate(basis):
-        np.bitwise_xor(cw[:1 << i], np.uint32(b), out=cw[1 << i:2 << i])
     a = np.zeros(1 << n, dtype=np.min_scalar_type(1 << r))
-    a[cw] = 1
-    del cw
+    a[_xor_span(basis, np.uint32)] = 1
     for i in range(n):
         v = a.reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
@@ -165,7 +169,7 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
     # of its power-of-two length, so popcount(lo + j) = popcount(lo) +
     # popcount(j); a[S] is a power of two, so its log2 is popcount(a[S] - 1).
     width = k + 1
-    chunk = min(len(a), _PROFILE_CHUNK)
+    chunk = min(len(a), _CHUNK)
     low_kept = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
     counts = np.zeros((n + 1) * width, dtype=np.int64)
     for lo in range(0, len(a), chunk):
@@ -182,14 +186,6 @@ def _rank_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in build(m))
 
 
-def _rank_from_profile(profile: tuple[tuple[int, ...], ...], m: BinMatrix) -> int:
-    full_row = profile[m.cols]
-    for r, c in enumerate(full_row):
-        if c:
-            return r
-    return 0
-
-
 def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     """Exact ML decoding error probability of the code generated by `m` on an
     erasure channel with erasure probability `delta`.
@@ -197,7 +193,7 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     A received word decodes wrongly (ties included) exactly when the surviving
     columns have rank below the message length k.
     """
-    _check_enum_cols(m)
+    check_enum_cols(m.cols)
     _check_prob("delta", delta)
     n, k = m.cols, m.rows
     profile = _rank_profile(m)
@@ -272,11 +268,11 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
 
     The report also carries bound = n * p_ml_erasure(m, 1-eps) and its slack.
     """
-    _check_enum_cols(m)
+    check_enum_cols(m.cols)
     _check_prob("eps", eps)
     n = m.cols
     profile = _rank_profile(m)
-    rnk = _rank_from_profile(profile, m)
+    rnk = profile[n].index(1)  # the one n-column subset has rank rank(M)
     erase_pows = _pow_table(eps, n)
     keep_pows = _pow_table(1.0 - eps, n)
     deficit = 0.0
@@ -301,61 +297,63 @@ def _row_basis(m: BinMatrix) -> list[int]:
     return list(pivots.values())
 
 
-def _xor_fold_table(values: list[int]) -> np.ndarray:
-    """Entry u is the XOR of values[j] over set bits j of u."""
-    out = np.zeros(1, dtype=np.int64)
-    for v in values:
-        out = np.concatenate([out, out ^ np.int64(v)])
+def _xor_span(values: list[int], dtype) -> np.ndarray:
+    """Entry u is the XOR of values[j] over the set bits j of u."""
+    out = np.zeros(1 << len(values), dtype=dtype)
+    for i, v in enumerate(values):
+        np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
     return out
 
 
-def _weight_table(count: int) -> np.ndarray:
-    out = np.zeros(1, dtype=np.int64)
-    for _ in range(count):
-        out = np.concatenate([out, out + 1])
-    return out
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """In place, entry s of the 2^r floats becomes sum_u (-1)^popcount(s & u) a[u]."""
+    r = len(a).bit_length() - 1
+    for lo in range(0, r, _WHT_LEVELS):
+        g = min(_WHT_LEVELS, r - lo)
+        bits = np.arange(1 << g)
+        h = 1.0 - 2.0 * (np.bitwise_count(bits[:, None] & bits) & 1)
+        if lo == 0:  # runs of 2^g adjacent entries, as the rows of each product
+            v = a.reshape(-1, 1, 1 << min(_WHT_COLS_BITS, r - g), 1 << g)
+        else:  # 2^g entries 2^lo apart, as the columns
+            cols = min(lo, _WHT_COLS_BITS)
+            v = a.reshape(-1, 1 << g, 1 << (lo - cols), 1 << cols).swapaxes(1, 2)
+        step_i = max(1, _CHUNK // v[0].size)
+        step_j = max(1, _CHUNK // v[0, 0].size)
+        for i in range(0, len(v), step_i):
+            for j in range(0, v.shape[1], step_j):
+                blk = v[i:i + step_i, j:j + step_j]
+                blk[...] = np.matmul(blk, h) if lo == 0 else np.matmul(h, blk)
 
 
 def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
     """Exact leakage in nats for a bit-flip side channel.
 
     With X uniform, Z is uniform and the flip pattern V is independent of Z,
-    so conditioned on any observation the hash output is a fixed shift of
-    V @ M^T. Leakage is rank(M)*ln 2 minus the entropy of that syndrome
-    distribution. (Cross-checked against brute_force_leakage in the tests.)
+    so the leakage is the divergence from uniform of the law q of the
+    syndrome V @ B^T, B a row basis. Its Walsh-Hadamard coefficients are
+    (1-2eps)^wt(uB) (MacWilliams and Sloane, ch. 5); with e the transform of
+    those over the nonzero u, q = 2^-r (1 + e) and the leakage is
+    2^-r sum_s phi(e_s), phi(e) = (1+e) ln(1+e) - e >= 0: a sum of
+    nonnegative terms, so small leakages keep their relative precision.
     """
-    _check_enum_cols(m)
+    check_enum_cols(m.cols)
     _check_prob("eps", eps)
-    n = m.cols
-    # The syndrome entropy only depends on the row space; a basis keeps the
-    # packed syndrome values within rank(M) <= n bits.
     basis = _row_basis(m)
     r = len(basis)
-    reduced = BinMatrix(r, n, tuple(basis))
-    colints = reduced.column_ints()
-    lo = min(n, 13)
-    syn_lo = _xor_fold_table([colints[j] for j in range(lo)])
-    syn_hi = _xor_fold_table([colints[j] for j in range(lo, n)])
-    wt_lo = _weight_table(lo)
-    wt_hi = _weight_table(n - lo)
-    flip_pows = np.array(_pow_table(eps, n))
-    keep_pows = np.array(_pow_table(1.0 - eps, n))
-    pattern_w = flip_pows[:n + 1] * keep_pows[:n + 1][::-1]
-    q = np.zeros(1 << r)
-    if n <= 22:
-        syn = (syn_hi[:, None] ^ syn_lo[None, :]).ravel()
-        wt = (wt_hi[:, None] + wt_lo[None, :]).ravel()
-        q = np.bincount(syn, weights=pattern_w[wt], minlength=1 << r)
-    else:
-        for h0 in range(0, len(syn_hi), 512):
-            h1 = min(h0 + 512, len(syn_hi))
-            syn = (syn_hi[h0:h1, None] ^ syn_lo[None, :]).ravel()
-            wt = (wt_hi[h0:h1, None] + wt_lo[None, :]).ravel()
-            np.add.at(q, syn, pattern_w[wt])
-    mass = q[q > 0.0]
-    h_q = -float(np.sum(mass * np.log(mass)))
-    leakage = min(max(0.0, r * LN2 - h_q), r * LN2)
-    return LeakageReport(leakage_nats=leakage, hash_entropy_nats=r * LN2)
+    weights = np.bitwise_count(_xor_span(basis, np.uint32))
+    e = np.array(_pow_table(1.0 - 2.0 * eps, m.cols))[weights]
+    e[0] = 0.0
+    _walsh_hadamard(e)
+    total = 0.0
+    for lo in range(0, len(e), _CHUNK):
+        x = e[lo:lo + _CHUNK]
+        small = np.abs(x) < 0.01
+        s, y = x[small], x[~small]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # At e = -1 (or rounded below) a syndrome has no mass: phi's limit 1.
+            big = np.where(y > -1.0, (1.0 + y) * np.log1p(y) - y, 1.0)
+        total += float(np.sum(s * s * np.polyval(_PHI_SERIES, -s)) + np.sum(big))
+    return LeakageReport(leakage_nats=math.ldexp(total, -r), hash_entropy_nats=r * LN2)
 
 
 def brute_force_leakage(m: BinMatrix, src: JointSource) -> float:
@@ -377,7 +375,7 @@ def brute_force_leakage(m: BinMatrix, src: JointSource) -> float:
     if k > 62:
         raise SizeLimitError("packed syndromes support at most 62 rows")
     w_rows = [np.array(src.probs[0]), np.array(src.probs[1])]
-    syn = _xor_fold_table(list(m.column_ints()))
+    syn = _xor_span(list(m.column_ints()), np.int64)
     order = np.argsort(syn, kind="stable")
     sorted_syn = syn[order]
     # Group x-patterns by syndrome; accumulate each group's conditional mass
@@ -442,6 +440,7 @@ def best_matrix_search(
         raise ValueError("trials must be >= 1")
     if channel not in ("bec", "bsc"):
         raise ValueError(f"channel must be 'bec' or 'bsc', got {channel!r}")
+    check_enum_cols(n)
     evaluate = exact_leakage_bec if channel == "bec" else exact_leakage_bsc
     best_full: tuple[float, BinMatrix, LeakageReport] | None = None
     best_any: tuple[float, BinMatrix, LeakageReport] | None = None

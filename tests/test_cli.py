@@ -262,6 +262,12 @@ class TestExponentsCommand:
         code, _, err = run(capsys, "exponents", "er-bec", "--channel", "bsc:0.25")
         assert code == 2 and "bec" in err
 
+    def test_non_finite_rate_bound(self, capsys):
+        code, out, err = run(capsys, "exponents", "er-bec", "--channel", "bec:0.5",
+                             "--rmax", "inf")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_steps_two(self, capsys):
         code, out, _ = run(
             capsys, "exponents", "ex-bsc-reduction", "--channel", "bsc:0.25",
@@ -323,6 +329,29 @@ class TestScalingCommand:
             "--channel", "bec:0.5",
         )
         assert code == 2
+
+    def test_non_finite_rate(self, capsys):
+        code, out, err = run(capsys, "scaling", "--rate", "inf", "--n", "8",
+                             "--channel", "bec:0.5")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
+    ("scaling", "--rate", "0.1", "--n", "27", "--channel", "bsc:0.1", "--trials", "1"),
+    ("verify-bound", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
+])
+def test_size_cap_checked_before_drawing(capsys, monkeypatch, argv):
+    # A matrix with millions of columns takes minutes to draw, so the cap must
+    # be checked first.
+    def refuse(*args):
+        raise AssertionError("random_matrix called for an oversized matrix")
+
+    monkeypatch.setattr(cli, "random_matrix", refuse)
+    monkeypatch.setattr(leakage, "random_matrix", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "capped at n=26" in err
 
 
 def console_script_code():

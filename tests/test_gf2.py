@@ -2,20 +2,22 @@
 
 Rank is checked against a small independent oracle that enumerates the row
 space directly, with no pivoting or packing shared with the implementation.
+The column-subset helpers the oracles of the other test modules use
+(tests/column_sets.py) are checked here too.
 """
 import pytest
 
 from leakexp.errors import InputParseError
 from leakexp.gf2 import (
     BinMatrix,
-    IndexSet,
     format_matrix,
     insert_reduced,
     parse_matrix,
     random_matrix,
     rank,
-    submatrix_cols,
 )
+
+from column_sets import IndexSet, submatrix_cols
 
 
 def row_space(m: BinMatrix) -> set[int]:

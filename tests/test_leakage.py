@@ -12,7 +12,7 @@ import pytest
 
 from leakexp.channels import bec_joint, bsc_joint, less_noisy_erasure_param
 from leakexp.errors import InvariantViolationError, SizeLimitError
-from leakexp.gf2 import BinMatrix, IndexSet, parse_matrix, random_matrix, rank, submatrix_cols
+from leakexp.gf2 import BinMatrix, parse_matrix, random_matrix, rank
 from leakexp.leakage import (
     LeakageReport,
     PmlResult,
@@ -27,6 +27,8 @@ from leakexp.leakage import (
     _subset_sum_profile,
     verify_leakage_bound,
 )
+
+from column_sets import IndexSet, submatrix_cols
 
 LN2 = math.log(2.0)
 
@@ -49,6 +51,13 @@ def bec_leakage_oracle(m: BinMatrix, eps: float) -> float:
         w = eps ** len(erased) * (1 - eps) ** (m.cols - len(erased))
         expected += w * rank(submatrix_cols(m, erased))
     return LN2 * (rank(m) - expected)
+
+
+def parity_bsc_leakage(w: int, eps: float) -> float:
+    """Leakage of the parity of w bits under flips: with d = (1-2eps)^w it is
+    sum_{j>=1} d^(2j) / (2j (2j-1)), the even part of (1+d) ln(1+d) - d."""
+    d2 = (1.0 - 2.0 * eps) ** (2 * w)
+    return sum(d2**j / (2 * j * (2 * j - 1)) for j in range(1, 200))
 
 
 class TestBruteForceGate:
@@ -87,6 +96,32 @@ class TestBruteForceGate:
         m = BinMatrix(1, n, ((1 << n) - 1,))
         got = exact_leakage_bec(m, 0.8).leakage_nats
         assert got == pytest.approx(LN2 * 0.2**n, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 20, 24, 26])
+    def test_all_ones_row_small_bsc_leakage(self, n):
+        # 6.1e-22 nats at n = 20: far below the ulp of ln 2 minus an entropy.
+        m = BinMatrix(1, n, ((1 << n) - 1,))
+        got = exact_leakage_bsc(m, 0.35).leakage_nats
+        assert got == pytest.approx(parity_bsc_leakage(n, 0.35), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps, sizes", [
+        (0.11, (1, 2, 3, 5)),
+        (0.35, (2, 4, 7, 9)),
+        (0.45, (3, 3, 4)),  # every |e| < 0.01: phi from its series alone
+        (0.11, (1,) * 12 + (2,) * 6),  # 2^18 syndromes: the transform in blocks
+    ])
+    def test_disjoint_rows_add_parity_leakages(self, eps, sizes):
+        # Rows on disjoint column sets give independent syndrome bits; two
+        # trailing columns are in no row.
+        n = sum(sizes) + 2
+        rows, start = [], 0
+        for w in sizes:
+            rows.append(((1 << w) - 1) << start)
+            start += w
+        m = BinMatrix(len(sizes), n, tuple(rows))
+        expect = sum(parity_bsc_leakage(w, eps) for w in sizes)
+        got = exact_leakage_bsc(m, eps).leakage_nats
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_single_parity_row(self):
         # parity of 2 bits leaks unless at least one bit is erased
@@ -132,6 +167,10 @@ class TestBruteForceGate:
         assert exact_leakage_bsc(m, 0.5).leakage_nats <= 1e-12
         full = exact_leakage_bsc(m, 0.0)
         assert abs(full.leakage_nats - full.hash_entropy_nats) <= 1e-12
+        # Every bit flipped: the syndrome is again known, and e = -1 on all
+        # other syndromes (phi(-1) = 1).
+        flipped = exact_leakage_bsc(m, 1.0)
+        assert abs(flipped.leakage_nats - flipped.hash_entropy_nats) <= 1e-12
 
     def test_brute_force_size_limits(self):
         with pytest.raises(SizeLimitError):

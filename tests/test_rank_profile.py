@@ -10,8 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leakexp.gf2 import BinMatrix, IndexSet, rank, submatrix_cols
+from leakexp.gf2 import BinMatrix, rank
 from leakexp.leakage import _dfs_profile, _rank_profile, _subset_sum_profile
+
+from column_sets import IndexSet, submatrix_cols
 
 
 def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
