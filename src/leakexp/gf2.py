@@ -34,9 +34,9 @@ class BinMatrix:
             raise ValueError("negative dimension")
         if len(self.bits) != self.rows:
             raise ValueError(f"expected {self.rows} packed rows, got {len(self.bits)}")
-        limit = 1 << self.cols
         for i, b in enumerate(self.bits):
-            if not 0 <= b < limit:
+            # bit_length, not b < 2^cols: a huge cols must not build 2^cols.
+            if b < 0 or b.bit_length() > self.cols:
                 raise ValueError(f"row {i + 1} does not fit in {self.cols} columns")
 
     @classmethod

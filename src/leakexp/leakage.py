@@ -4,10 +4,11 @@ The secret is S = X @ M^T for a uniform n-bit string X observed by the
 eavesdropper through a memoryless channel. Both channels see M through the
 2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
 column-subset ranks of M, aggregated once per matrix into a profile counting
-subsets by (size, rank): for k <= 3 rows by a depth-first walk that closes a
-subtree with binomials once the rank reaches k, above that by a subset-sum
-transform over the codeword supports in O(n 2^n). Bit-flip leakage needs
-only the codeword weights and one Walsh-Hadamard transform, O(r 2^r).
+subsets by (size, rank): for k <= 3 rows by a DP over the distinct column
+values whose states are the at most 16 subspaces of F_2^k, at a cost
+independent of 2^n; above that by a subset-sum transform over the codeword
+supports in O(n 2^n). Bit-flip leakage needs only the codeword weights and
+one Walsh-Hadamard transform, O(r 2^r).
 
 Limits: n <= 26 for the exact paths; the brute-force oracle costs |Z|^n 2^n
 (n <= 12 for erasure observations, n <= 14 for bit-flip ones).
@@ -15,6 +16,7 @@ Limits: n <= 26 for the exact paths; the brute-force oracle costs |Z|^n 2^n
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from .channels import JointSource
 from .errors import InvariantViolationError, SizeLimitError
-from .gf2 import BinMatrix, insert_reduced, random_matrix, rank
+# bench/spans.py wraps leakage.rank, so the name stays importable here.
+from .gf2 import BinMatrix, insert_reduced, random_matrix, rank  # noqa: F401
 
 __all__ = [
     "LeakageReport",
@@ -44,10 +47,11 @@ _SLACK_FLOOR = -1e-9
 _MC_CHUNK = 1 << 16
 # Entries of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
-# Up to this many rows the DFS builds the profile, above it the subset-sum
-# transform. Median single builds on random matrices (2-vCPU VM, numpy 2.4):
-# 2x24 DFS 64 ms, transform 272 ms; 4x24 603 and 316 ms; 10x20 1015 and 21 ms.
-_DFS_MAX_ROWS = 3
+# Up to this many rows the column-value DP builds the profile, above it the
+# subset-sum transform. Median single builds on random matrices (2-vCPU VM,
+# numpy 2.4): 2x24 DP 0.16 ms, transform 260 ms; 3x26 DP 0.77 ms; 4x12 1.1 and
+# 0.19 ms; 6x12 11 and 0.19 ms.
+_VALUE_DP_MAX_ROWS = 3
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
 # most 2^7 rows or columns: BLAS keeps products that small on one thread, and
@@ -57,9 +61,6 @@ _WHT_COLS_BITS = 7
 # phi(e) = e^2 sum_{j>=2} (-e)^(j-2) / (j (j-1)) below |e| = 0.01, where
 # (1+e) log1p(e) - e cancels; eight terms give 1e-17 relative.
 _PHI_SERIES = [1.0 / (j * (j - 1)) for j in range(9, 1, -1)]  # for np.polyval
-
-_COMB = [[math.comb(r, t) for t in range(r + 1)] for r in range(_ENUM_MAX_COLS + 1)]
-
 
 @dataclass(frozen=True)
 class LeakageReport:
@@ -118,35 +119,33 @@ def _pow_table(x: float, n: int) -> list[float]:
     return out
 
 
-def _dfs_profile(m: BinMatrix) -> list[list[int]]:
-    """Count column subsets by (size, rank), walking include/exclude choices
-    depth first with an incremental basis."""
+def _column_value_profile(m: BinMatrix) -> list[list[int]]:
+    """Count column subsets by (size, rank) by a DP over the distinct column values.
+
+    Per span of the columns chosen so far, keyed as the set of its vectors (bit
+    x for vector x, so the rank is log2 of its size), the scan keeps subset
+    counts by size. Taking t >= 1 of the c copies of a value v (C(c, t) ways)
+    adds v to the span. F_2^k has at most 16 subspaces for k <= 3: O(#values *
+    16 * n^2) big-int work, whatever 2^n is.
+    """
     n, k = m.cols, m.rows
-    colints = m.column_ints()
-    counts = [[0] * (k + 1) for _ in range(n + 1)]
-    pivots: dict[int, int] = {}
-
-    def rec(i: int, size: int, rnk: int) -> None:
-        if rnk == k:
-            # Every remaining column is already in the span: close the
-            # subtree with binomial counts instead of walking it.
-            rem = n - i
-            crow = _COMB[rem]
-            for t in range(rem + 1):
-                counts[size + t][k] += crow[t]
-            return
-        if i == n:
-            counts[size][rnk] += 1
-            return
-        rec(i + 1, size, rnk)
-        if insert_reduced(pivots, colints[i]):
-            rec(i + 1, size + 1, rnk + 1)
-            pivots.popitem()  # dicts pop last-in first: undoes this insert
-        else:
-            rec(i + 1, size + 1, rnk)
-
-    rec(0, 0, 0)
-    return counts
+    states: dict[int, list[int]] = {1: [1]}  # the span {0} of the empty set
+    for v, c in Counter(m.column_ints()).items():
+        ways = [math.comb(c, t) for t in range(c + 1)]
+        nxt: dict[int, list[int]] = {}
+        for span, counts in states.items():
+            grown = span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
+            for key, taken in ((span, range(1)), (grown, range(1, c + 1))):
+                out = nxt.setdefault(key, [0] * (len(counts) + c))
+                for s, a in enumerate(counts):
+                    for t in taken:
+                        out[s + t] += a * ways[t]
+        states = nxt
+    profile = [[0] * (k + 1) for _ in range(n + 1)]
+    for span, counts in states.items():
+        for s, a in enumerate(counts):
+            profile[s][span.bit_count().bit_length() - 1] += a
+    return profile
 
 
 def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
@@ -182,7 +181,7 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
 @lru_cache(maxsize=128)
 def _rank_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     """profile[s][r]: the number of s-column subsets J with rank(M_J) = r."""
-    build = _dfs_profile if m.rows <= _DFS_MAX_ROWS else _subset_sum_profile
+    build = _column_value_profile if m.rows <= _VALUE_DP_MAX_ROWS else _subset_sum_profile
     return tuple(tuple(row) for row in build(m))
 
 
@@ -450,7 +449,8 @@ def best_matrix_search(
         entry = (report.leakage_nats, cand, report)
         if best_any is None or entry[0] < best_any[0]:
             best_any = entry
-        if rank(cand) == k and (best_full is None or entry[0] < best_full[0]):
+        full = report.hash_entropy_nats == k * LN2  # rank(cand) == k
+        if full and (best_full is None or entry[0] < best_full[0]):
             best_full = entry
     chosen = best_full if best_full is not None else best_any
     assert chosen is not None

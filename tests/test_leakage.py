@@ -22,7 +22,7 @@ from leakexp.leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
-    _dfs_profile,
+    _column_value_profile,
     _rank_profile,
     _subset_sum_profile,
     verify_leakage_bound,
@@ -303,11 +303,11 @@ class TestRankProfileParallel:
     @pytest.mark.parametrize("seed", range(5))
     def test_partitioning_is_invisible(self, seed):
         # k runs over 3, 4, 5: both sides of the split between the
-        # depth-first walk (k <= 3) and the subset-sum transform (k >= 4).
+        # column-value DP (k <= 3) and the subset-sum transform (k >= 4).
         m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
-        dfs = tuple(map(tuple, _dfs_profile(m)))
-        assert tuple(map(tuple, _subset_sum_profile(m))) == dfs
-        assert _rank_profile(m) == dfs
+        dp = tuple(map(tuple, _column_value_profile(m)))
+        assert tuple(map(tuple, _subset_sum_profile(m))) == dp
+        assert _rank_profile(m) == dp
 
 
 class TestBestMatrixSearch:

@@ -1,9 +1,11 @@
 """The two rank-profile builders against each other and a per-mask oracle.
 
-The depth-first walk and the subset-sum transform share no code beyond the
-row basis; the oracle counts every column subset with gf2.rank on an
-explicit column submatrix.
+The column-value DP and the subset-sum transform share no code; the oracle
+counts every column subset with gf2.rank on an explicit column submatrix.
 """
+import math
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakexp.gf2 import BinMatrix, rank
-from leakexp.leakage import _dfs_profile, _rank_profile, _subset_sum_profile
+from leakexp.leakage import _column_value_profile, _rank_profile, _subset_sum_profile
 
 from column_sets import IndexSet, submatrix_cols
 
@@ -50,9 +52,25 @@ def matrices(draw) -> BinMatrix:
 @example(BinMatrix(4, 7, (0,) * 4))
 @example(from_columns(5, [3, 3, 0, 5, 6, 3, 0, 5]))
 @example(BinMatrix.from_rows(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))))
+@example(BinMatrix(3, 2, (1, 2, 3)))
+# The shapes that were slowest for a depth-first walk: only zero and repeated
+# columns, and every value of F_2^3 with repeats.
+@example(from_columns(2, [0, 3, 3, 0, 3, 0, 0, 3, 3, 0, 0, 3]))
+@example(from_columns(3, [7, 0, 1, 2, 3, 4, 5, 6, 0, 1, 6, 7]))
 def test_builders_match_per_mask_ranks(m):
-    dfs = tuple(map(tuple, _dfs_profile(m)))
+    dp = tuple(map(tuple, _column_value_profile(m)))
     transform = tuple(map(tuple, _subset_sum_profile(m)))
-    assert dfs == transform
-    assert dfs == per_mask_profile(m)
-    assert _rank_profile(m) == dfs
+    assert dp == transform
+    assert dp == per_mask_profile(m)
+    assert _rank_profile(m) == dp
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_order_is_invisible_at_26_columns(k):
+    rng = random.Random(k)
+    cols = [rng.randrange(1 << k) for _ in range(26)]
+    profile = _column_value_profile(from_columns(k, cols))
+    rng.shuffle(cols)
+    assert _column_value_profile(from_columns(k, cols)) == profile
+    assert [sum(row) for row in profile] == [math.comb(26, s) for s in range(27)]
+    assert profile[26] == [0] * k + [1]  # 26 random columns span F_2^k
