@@ -1,4 +1,5 @@
-"""Column subsets of a GF(2) matrix, for the per-mask oracles in the tests."""
+"""Column subsets of a GF(2) matrix, and matrices built from their columns,
+for the per-mask and per-sample oracles in the tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -46,3 +47,9 @@ def submatrix_cols(m: BinMatrix, j: IndexSet) -> BinMatrix:
             v |= ((b >> (col - 1)) & 1) << t
         packed.append(v)
     return BinMatrix(m.rows, len(sel), tuple(packed))
+
+
+def from_columns(k: int, cols: list[int]) -> BinMatrix:
+    """The k-row matrix whose column j is cols[j], bit i being its entry in row i."""
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
+    return BinMatrix(k, len(cols), rows)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from leakexp import leakage
 from leakexp.channels import bec_joint, bsc_joint, less_noisy_erasure_param
 from leakexp.errors import InvariantViolationError, SizeLimitError
 from leakexp.gf2 import BinMatrix, parse_matrix, random_matrix, rank
@@ -259,6 +260,13 @@ class TestMonteCarloPml:
         with pytest.raises(ValueError):
             mc_p_ml_erasure(random_matrix(1, 2, 0), 0.3, 0, 0)
 
+    @pytest.mark.parametrize("first", [1, 65])
+    def test_columns_past_64(self, first):
+        # One row whose ones sit in 6 columns of 70: an error is all 6 erased.
+        m = BinMatrix(1, 70, (sum(1 << (j - 1) for j in range(first, first + 6)),))
+        got = mc_p_ml_erasure(m, 0.5, 20000, 1)
+        assert abs(got.value - 0.5**6) <= 3 * got.ci_halfwidth
+
 
 class TestLeakageBound:
     @pytest.mark.parametrize("seed", range(25))
@@ -308,6 +316,19 @@ class TestRankProfileParallel:
         dp = tuple(map(tuple, _column_value_profile(m)))
         assert tuple(map(tuple, _subset_sum_profile(m))) == dp
         assert _rank_profile(m) == dp
+
+    @pytest.mark.parametrize("k, n, dp", [
+        (4, 16, True), (5, 20, True), (6, 24, True),
+        (4, 15, False), (5, 19, False), (8, 16, False),
+    ])
+    def test_split_on_rows_and_columns(self, monkeypatch, k, n, dp):
+        # The column-value DP builds k <= 6 when n >= 4k. The builder that
+        # must not run is replaced by None, so calling it fails.
+        m = random_matrix(k, n, 900 + n)
+        want = tuple(map(tuple, _subset_sum_profile(m)))
+        unused = "_subset_sum_profile" if dp else "_column_value_profile"
+        monkeypatch.setattr(leakage, unused, None)
+        assert _rank_profile.__wrapped__(m) == want
 
 
 class TestBestMatrixSearch:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from leakexp.gf2 import BinMatrix, rank
 from leakexp.leakage import _column_value_profile, _rank_profile, _subset_sum_profile
 
-from column_sets import IndexSet, submatrix_cols
+from column_sets import IndexSet, from_columns, submatrix_cols
 
 
 def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
@@ -24,11 +24,6 @@ def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
         cols = IndexSet(m.cols, {j + 1 for j in range(m.cols) if (mask >> j) & 1})
         counts[len(cols)][rank(submatrix_cols(m, cols))] += 1
     return tuple(map(tuple, counts))
-
-
-def from_columns(k: int, cols: list[int]) -> BinMatrix:
-    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
-    return BinMatrix(k, len(cols), rows)
 
 
 @st.composite
