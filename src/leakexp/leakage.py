@@ -4,11 +4,11 @@ The secret is S = X @ M^T for a uniform n-bit string X observed by the
 eavesdropper through a memoryless channel. Both channels see M through the
 2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
 column-subset ranks of M, aggregated once per matrix into a profile counting
-subsets by (size, rank): for few rows (k <= 3, or k <= 6 with n >= 4k) by a
-DP over the distinct column values whose states are the subspaces of F_2^k
-(16 for k = 3, 2825 for k = 6), at a cost independent of 2^n; otherwise by a
-subset-sum transform over the codeword supports in O(n 2^n). Bit-flip leakage
-needs only the codeword weights and one Walsh-Hadamard transform, O(r 2^r).
+subsets by (size, rank): for k <= 3 rows by a DP over the distinct column
+values whose states are the at most 16 subspaces of F_2^k, at a cost
+independent of 2^n; above that by a subset-sum transform over the codeword
+supports in O(n 2^n). Bit-flip leakage needs only the codeword weights and
+one Walsh-Hadamard transform, O(r 2^r).
 The Monte Carlo decoding error decides a chunk of samples at once, by k pivot
 steps over the rows of M packed into ceil(n/64) words per sample.
 
@@ -47,21 +47,16 @@ LN2 = math.log(2.0)
 _ENUM_MAX_COLS = 26
 _BRUTE_MAX_COLS = {2: 14, 3: 12}
 _SLACK_FLOOR = -1e-9
-# Monte Carlo samples per chunk, and the most draws or packed words one
-# chunk's arrays may hold.
-_MC_CHUNK = 1 << 16
+# The most draws or packed words one Monte Carlo chunk's arrays may hold:
+# 65536 samples for n <= 32 columns, fewer for wider matrices.
 _MC_CHUNK_ENTRIES = 1 << 21
 # Entries of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
-# The column-value DP builds the profile for k <= 3 rows, and for k <= 6 rows
-# when n >= 4k; the subset-sum transform builds it otherwise. Median single
-# builds on random matrices, DP against transform (2-vCPU VM, numpy 2.4):
-# 3x26 0.9 and 1130 ms; 4x14 1.6 and 0.35 ms; 4x16 1.7 and 2.0 ms; 4x24 3.3
-# and 262 ms; 5x18 9.0 and 3.9 ms; 5x20 11 and 15 ms; 6x22 69 and 65 ms; 6x24
-# 113 and 271 ms.
+# Up to this many rows the column-value DP builds the profile, above it the
+# subset-sum transform. Median single builds on random matrices (2-vCPU VM,
+# numpy 2.4): 2x24 DP 0.16 ms, transform 260 ms; 3x26 DP 0.77 ms; 4x12 1.1 and
+# 0.19 ms; 6x12 11 and 0.19 ms.
 _VALUE_DP_MAX_ROWS = 3
-_VALUE_DP_WIDE_MAX_ROWS = 6
-_VALUE_DP_WIDE_COLS_PER_ROW = 4
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
 # most 2^7 rows or columns: BLAS keeps products that small on one thread, and
@@ -135,8 +130,8 @@ def _column_value_profile(m: BinMatrix) -> list[list[int]]:
     Per span of the columns chosen so far, keyed as the set of its vectors (bit
     x for vector x, so the rank is log2 of its size), the scan keeps subset
     counts by size. Taking t >= 1 of the c copies of a value v (C(c, t) ways)
-    adds v to the span. With S(k) subspaces of F_2^k (16 for k = 3, 2825 for
-    k = 6), that is O(#values * S(k) * n^2) big-int work, whatever 2^n is.
+    adds v to the span. F_2^k has at most 16 subspaces for k <= 3: O(#values *
+    16 * n^2) big-int work, whatever 2^n is.
     """
     n, k = m.cols, m.rows
     states: dict[int, list[int]] = {1: [1]}  # the span {0} of the empty set
@@ -191,9 +186,7 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
 @lru_cache(maxsize=128)
 def _rank_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     """profile[s][r]: the number of s-column subsets J with rank(M_J) = r."""
-    k, n = m.rows, m.cols
-    wide = k <= _VALUE_DP_WIDE_MAX_ROWS and n >= _VALUE_DP_WIDE_COLS_PER_ROW * k
-    build = _column_value_profile if k <= _VALUE_DP_MAX_ROWS or wide else _subset_sum_profile
+    build = _column_value_profile if m.rows <= _VALUE_DP_MAX_ROWS else _subset_sum_profile
     return tuple(tuple(row) for row in build(m))
 
 
@@ -268,7 +261,7 @@ def mc_p_ml_erasure(m: BinMatrix, delta: float, samples: int, seed: int) -> PmlR
     rows = np.frombuffer(packed, dtype="<u8").reshape(k, words, 1)
     # The generator fills its output in order, so the chunk size never
     # changes the draws; it shrinks only to bound a chunk's arrays.
-    chunk = min(_MC_CHUNK, max(1, _MC_CHUNK_ENTRIES // max(1, n, k * words)))
+    chunk = max(1, _MC_CHUNK_ENTRIES // max(32, n, k * words))
     kept = np.zeros((chunk, 8 * words), dtype=np.uint8)  # bytes past ceil(n/8) stay 0
     rng = np.random.default_rng(seed)
     errors = 0

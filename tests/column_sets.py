@@ -1,11 +1,13 @@
-"""Column subsets of a GF(2) matrix, and matrices built from their columns,
-for the per-mask and per-sample oracles in the tests."""
+"""Oracles' helpers for the tests: column subsets of a GF(2) matrix, matrices
+built from their columns, and Monte Carlo errors decided sample by sample."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from leakexp.gf2 import BinMatrix
+import numpy as np
+
+from leakexp.gf2 import BinMatrix, insert_reduced
 
 
 @dataclass(frozen=True)
@@ -53,3 +55,24 @@ def from_columns(k: int, cols: list[int]) -> BinMatrix:
     """The k-row matrix whose column j is cols[j], bit i being its entry in row i."""
     rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
     return BinMatrix(k, len(cols), rows)
+
+
+def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> int:
+    """Errors among mc_p_ml_erasure's samples, decided one sample at a time.
+
+    Replays the draws in one block and reduces each sample's kept columns, as
+    Python ints, against a growing basis: it holds at any n and shares neither
+    the word packing nor the chunking with the function it checks.
+    """
+    colints = m.column_ints()
+    draws = np.random.default_rng(seed).random((samples, m.cols))
+    decided: dict[tuple[int, ...], bool] = {}
+    errors = 0
+    for u in draws:
+        kept = tuple(j for j in range(m.cols) if u[j] >= delta)
+        if kept not in decided:
+            pivots: dict[int, int] = {}
+            rnk = sum(insert_reduced(pivots, colints[j]) for j in kept)
+            decided[kept] = rnk < m.rows
+        errors += decided[kept]
+    return errors

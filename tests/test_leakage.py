@@ -29,7 +29,7 @@ from leakexp.leakage import (
     verify_leakage_bound,
 )
 
-from column_sets import IndexSet, submatrix_cols
+from column_sets import IndexSet, per_sample_errors, submatrix_cols
 
 LN2 = math.log(2.0)
 
@@ -267,6 +267,14 @@ class TestMonteCarloPml:
         got = mc_p_ml_erasure(m, 0.5, 20000, 1)
         assert abs(got.value - 0.5**6) <= 3 * got.ci_halfwidth
 
+    @pytest.mark.parametrize("k, n", [(3, 20), (5, 70), (8, 130)])
+    def test_chunk_size_is_invisible(self, monkeypatch, k, n):
+        # A budget of 1000 entries cuts the draws into chunks of 7 to 31 samples.
+        monkeypatch.setattr(leakage, "_MC_CHUNK_ENTRIES", 1000)
+        m = random_matrix(k, n, 20 + n)
+        got = mc_p_ml_erasure(m, 0.85, 500, n)
+        assert got.value == per_sample_errors(m, 0.85, 500, n) / 500
+
 
 class TestLeakageBound:
     @pytest.mark.parametrize("seed", range(25))
@@ -316,19 +324,6 @@ class TestRankProfileParallel:
         dp = tuple(map(tuple, _column_value_profile(m)))
         assert tuple(map(tuple, _subset_sum_profile(m))) == dp
         assert _rank_profile(m) == dp
-
-    @pytest.mark.parametrize("k, n, dp", [
-        (4, 16, True), (5, 20, True), (6, 24, True),
-        (4, 15, False), (5, 19, False), (8, 16, False),
-    ])
-    def test_split_on_rows_and_columns(self, monkeypatch, k, n, dp):
-        # The column-value DP builds k <= 6 when n >= 4k. The builder that
-        # must not run is replaced by None, so calling it fails.
-        m = random_matrix(k, n, 900 + n)
-        want = tuple(map(tuple, _subset_sum_profile(m)))
-        unused = "_subset_sum_profile" if dp else "_column_value_profile"
-        monkeypatch.setattr(leakage, unused, None)
-        assert _rank_profile.__wrapped__(m) == want
 
 
 class TestBestMatrixSearch:

@@ -1,42 +1,15 @@
-"""The vectorised Monte Carlo P_ML against a per-sample elimination oracle.
-
-The oracle replays mc_p_ml_erasure's draws in one block and decides each
-sample by reducing its kept columns, as Python ints, against a growing
-basis: it holds at any n and shares neither the word packing nor the
-chunking with the function under test.
-"""
-import numpy as np
+"""The vectorised Monte Carlo P_ML against the per-sample elimination oracle
+(column_sets.per_sample_errors) on generated matrices and edge cases."""
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leakexp import leakage
-from leakexp.gf2 import BinMatrix, insert_reduced, random_matrix
+from leakexp.gf2 import BinMatrix, random_matrix
 from leakexp.leakage import mc_p_ml_erasure
 
-from column_sets import from_columns
-
-
-def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> int:
-    colints = m.column_ints()
-    draws = np.random.default_rng(seed).random((samples, m.cols))
-    decided: dict[tuple[int, ...], bool] = {}
-    errors = 0
-    for u in draws:
-        kept = tuple(j for j in range(m.cols) if u[j] >= delta)
-        if kept not in decided:
-            pivots: dict[int, int] = {}
-            rnk = sum(insert_reduced(pivots, colints[j]) for j in kept)
-            decided[kept] = rnk < m.rows
-        errors += decided[kept]
-    return errors
-
-
-def assert_matches_oracle(m: BinMatrix, delta: float, samples: int, seed: int) -> None:
-    got = mc_p_ml_erasure(m, delta, samples, seed)
-    assert got.value == per_sample_errors(m, delta, samples, seed) / samples
+from column_sets import from_columns, per_sample_errors
 
 
 @st.composite
@@ -70,11 +43,7 @@ def cases(draw):
 @example((random_matrix(4, 70, 11), 1.0, 50, 11))
 @example((from_columns(3, [1, 2, 4, 3, 5]), 0.3, (1 << 16) + 3, 12))  # two chunks
 def test_error_count_equals_per_sample_oracle(case):
-    assert_matches_oracle(*case)
+    m, delta, samples, seed = case
+    got = mc_p_ml_erasure(m, delta, samples, seed)
+    assert got.value == per_sample_errors(m, delta, samples, seed) / samples
 
-
-@pytest.mark.parametrize("k, n", [(3, 20), (5, 70), (8, 130)])
-def test_chunk_size_is_invisible(monkeypatch, k, n):
-    # A budget of 1000 entries cuts the draws into chunks of 7 to 50 samples.
-    monkeypatch.setattr(leakage, "_MC_CHUNK_ENTRIES", 1000)
-    assert_matches_oracle(random_matrix(k, n, 20 + n), 0.85, 500, n)
