@@ -19,13 +19,10 @@ import sys
 from typing import Sequence
 
 from .channels import ChannelSpec, parse_channel
-from .errors import (
-    DegenerateParameterError,
-    InputParseError,
-    InvariantViolationError,
-    SizeLimitError,
+from .errors import InputParseError, InvariantViolationError
+from .exponents import (
+    LN2, CURVE_FAMILY, CURVE_KINDS, _fmt, critical_rate, curve, expurgation_rate,
 )
-from .exponents import LN2, CURVE_KINDS, _fmt, critical_rate, curve, expurgation_rate
 from .gf2 import BinMatrix, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
@@ -38,17 +35,11 @@ from .leakage import (
     verify_leakage_bound,
 )
 
+# Figure preset: channel probability and its (random-coding, expurgation) kinds.
 _PRESETS = {
-    "fig3": ("bec", 0.5),
-    "fig4": ("bsc", 0.11),
-    "fig5": ("bsc", 0.25),
-}
-
-_KIND_FAMILY = {
-    "er-bec": "bec",
-    "er-bsc": "bsc",
-    "ex-bec": "bec",
-    "ex-bsc-reduction": "bsc",
+    "fig3": (0.5, ("er-bec", "ex-bec")),
+    "fig4": (0.11, ("er-bsc", "ex-bsc-reduction")),
+    "fig5": (0.25, ("er-bsc", "ex-bsc-reduction")),
 }
 
 
@@ -163,40 +154,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_for(kind: str, spec: ChannelSpec, args: argparse.Namespace, clamp: bool):
-    if kind == "er-general":
-        return curve(
-            kind,
-            None,
-            args.rmin,
-            args.rmax,
-            args.steps,
-            clamp=clamp,
-            src=spec.joint(),
-            label=spec.describe(),
-        )
-    want = _KIND_FAMILY[kind]
-    if spec.family != want:
-        raise InputParseError(
-            f"curve kind {kind!r} needs a {want}:<eps> channel descriptor, "
-            f"got {spec.describe()!r}"
-        )
-    return curve(
-        kind, spec.eps, args.rmin, args.rmax, args.steps,
-        clamp=clamp, label=spec.describe(),
-    )
-
-
 def _cmd_exponents(args: argparse.Namespace) -> int:
     if args.preset is not None:
         if args.kind is not None:
             raise InputParseError("give either a curve kind or --preset, not both")
-        family, eps = _PRESETS[args.preset]
-        er_kind = "er-bec" if family == "bec" else "er-bsc"
-        ex_kind = "ex-bec" if family == "bec" else "ex-bsc-reduction"
+        eps, kinds = _PRESETS[args.preset]
         out_dir = args.out if args.out is not None else "."
-        for kind, stem in ((er_kind, "er"), (ex_kind, "ex")):
-            table = curve(kind, eps, 0.0, LN2, 200, clamp=True, label=f"{family}:{eps:g}")
+        for kind, stem in zip(kinds, ("er", "ex")):
+            table = curve(kind, eps, 0.0, LN2, 200, clamp=True)
             path = f"{out_dir}/{args.preset}_{stem}.csv"
             _emit(table.to_csv(), path)
             print(f"wrote {path}")
@@ -206,7 +171,16 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
     if args.channel is None:
         raise InputParseError("curve evaluation needs --channel")
     spec = _channel(args)
-    table = _curve_for(args.kind, spec, args, args.clamp)
+    family = CURVE_FAMILY[args.kind]
+    if family not in (None, spec.family):
+        raise InputParseError(
+            f"curve kind {args.kind!r} needs a {family}:<eps> channel descriptor, "
+            f"got {spec.describe()!r}"
+        )
+    table = curve(
+        args.kind, spec.eps, args.rmin, args.rmax, args.steps,
+        clamp=args.clamp, src=spec.joint(),
+    )
     _emit(table.to_csv(), args.out)
     return 0
 
@@ -343,21 +317,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeLimitError as exc:
+    except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InputParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

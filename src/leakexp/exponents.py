@@ -1,7 +1,10 @@
 """Error-exponent curves for secrecy rates over binary side channels.
 
 Random-coding exponents are concave maximizations over a tilt parameter in
-[0, 1]; expurgation-style exponents maximize over tilts >= 1, handled on the
+[0, 1]. For either channel family and for any JointSource they use one
+evaluator of the tilted source, -log1p(sum m*expm1(theta*l)) over its
+(mass, ln P(x|z)) terms, which keeps its relative precision as theta -> 0.
+Expurgation-style exponents maximize over tilts >= 1, handled on the
 reciprocal axis u = 1/theta in (0, 1]. All optimizations use golden-section
 search to an interval of 1e-10 with explicit endpoint comparison, so boundary
 optimizers come back exact. Values are raw (possibly negative); clamping to
@@ -11,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .channels import JointSource
+from .channels import ChannelSpec, JointSource, bec_joint, bsc_joint
 from .errors import DegenerateParameterError
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "critical_rate",
     "expurgation_rate",
     "curve",
+    "CURVE_FAMILY",
     "CURVE_KINDS",
 ]
 
@@ -43,7 +47,16 @@ _BISECT_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = _INVPHI * _INVPHI
 
-CURVE_KINDS = ("er-general", "er-bec", "er-bsc", "ex-bec", "ex-bsc-reduction")
+# Each curve kind and the channel family ('bec' or 'bsc') of the probability
+# it takes; None marks a kind that takes a JointSource instead.
+CURVE_FAMILY = {
+    "er-general": None,
+    "er-bec": "bec",
+    "er-bsc": "bsc",
+    "ex-bec": "bec",
+    "ex-bsc-reduction": "bsc",
+}
+CURVE_KINDS = tuple(CURVE_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,6 @@ class CurvePoint:
 class CurveTable:
     """Sampled exponent curve; rates strictly increasing, values finite."""
 
-    name: str
-    channel: str
     points: tuple[CurvePoint, ...]
 
     def to_csv(self) -> str:
@@ -131,6 +142,46 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return best_x, best_f
 
 
+def _tilt_terms(src: JointSource) -> tuple[tuple[float, float], ...]:
+    """(mass, ln P(x|z)) for the cells of `src` with 0 < P(x|z) < 1, cells with
+    equal log-ratios merged into one term. Cells with P(x|z) = 1 add nothing
+    to the tilt and are left out."""
+    pz = src.p_z()
+    merged: dict[float, float] = {}
+    for row in src.probs:
+        for p, q in zip(row, pz):
+            if 0.0 < p < q:
+                ell = math.log(p / q)
+                merged[ell] = merged.get(ell, 0.0) + p
+    return tuple((mass, ell) for ell, mass in merged.items())
+
+
+def _tilted_objective(
+    terms: tuple[tuple[float, float], ...], rate: float
+) -> Callable[[float], float]:
+    """theta -> -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate, the one
+    evaluator of the tilted source.
+
+    The sum is taken as log1p(sum m*expm1(theta*l)) over `terms`, exact because
+    the cell masses sum to 1 (JointSource checks it to 1e-12). No l is
+    positive, so the sum has no cancellation and small theta keeps its
+    relative precision. Written 0.0 - x so that theta = 0 gives +0.0.
+    """
+
+    def objective(theta: float) -> float:
+        total = 0.0
+        for mass, ell in terms:
+            total += mass * math.expm1(theta * ell)
+        return 0.0 - math.log1p(total) - theta * rate
+
+    return objective
+
+
+def _max_tilt(terms: tuple[tuple[float, float], ...], rate: float) -> OptResult:
+    theta, value = _golden_max(_tilted_objective(terms, rate), 0.0, 1.0)
+    return OptResult(value=value, theta_star=theta, p_star=None, form="max-theta")
+
+
 def renyi_exponent(theta: float, src: JointSource) -> float:
     """-ln sum_{x,z} P(x,z)^(1+theta) P(z)^(-theta), zero cells contributing 0.
 
@@ -139,20 +190,7 @@ def renyi_exponent(theta: float, src: JointSource) -> float:
     """
     if theta < 0.0:
         raise ValueError("theta must be >= 0")
-    if theta == 0.0:
-        return 0.0
-    pz = src.p_z()
-    total = 0.0
-    for x in (0, 1):
-        for i, p in enumerate(src.probs[x]):
-            if p > 0.0:
-                total += p * (p / pz[i]) ** theta
-    return -math.log(total)
-
-
-def _max_theta_result(objective: Callable[[float], float]) -> OptResult:
-    theta, value = _golden_max(objective, 0.0, 1.0)
-    return OptResult(value=value, theta_star=theta, p_star=None, form="max-theta")
+    return _tilted_objective(_tilt_terms(src), 0.0)(theta)
 
 
 def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
@@ -161,37 +199,19 @@ def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
     Zero (at theta = 0) once the rate reaches H(X|Z)."""
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    return _max_theta_result(lambda t: renyi_exponent(t, src) - t * rate)
+    return _max_tilt(_tilt_terms(src), rate)
 
 
 def random_coding_exponent_bec(rate: float, eps: float) -> OptResult:
-    """Closed-form erasure-channel objective -ln((1-eps) + eps*2^-theta) - theta*rate."""
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps={eps} outside [0, 1]")
-
-    def objective(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        return -math.log((1.0 - eps) + eps * math.exp(-t * LN2)) - t * rate
-
-    return _max_theta_result(objective)
+    """random_coding_exponent of an erasure channel; its objective is
+    -ln((1-eps) + eps*2^-theta) - theta*rate."""
+    return random_coding_exponent(rate, bec_joint(eps))
 
 
 def random_coding_exponent_bsc(rate: float, eps: float) -> OptResult:
-    """Closed-form bit-flip objective -ln((1-eps)^(1+theta) + eps^(1+theta)) - theta*rate."""
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps={eps} outside [0, 1]")
-
-    def objective(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        return -math.log((1.0 - eps) ** (1.0 + t) + eps ** (1.0 + t)) - t * rate
-
-    return _max_theta_result(objective)
+    """random_coding_exponent of a bit-flip channel; its objective is
+    -ln((1-eps)^(1+theta) + eps^(1+theta)) - theta*rate."""
+    return random_coding_exponent(rate, bsc_joint(eps))
 
 
 def _check_delta(delta: float) -> None:
@@ -334,16 +354,14 @@ def expurgation_rate(delta: float) -> float:
 def _curve_evaluator(
     kind: str, channel_param: float | None, src: JointSource | None
 ) -> Callable[[float], OptResult]:
-    if kind == "er-general":
+    if kind not in CURVE_FAMILY:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    family = CURVE_FAMILY[kind]
+    if family is None:
         if src is None:
-            raise ValueError("kind 'er-general' needs a JointSource")
-        return lambda r: random_coding_exponent(r, src)
-    if channel_param is None:
+            raise ValueError(f"kind {kind!r} needs a JointSource")
+    elif channel_param is None:
         raise ValueError(f"kind {kind!r} needs a channel probability")
-    if kind == "er-bec":
-        return lambda r: random_coding_exponent_bec(r, channel_param)
-    if kind == "er-bsc":
-        return lambda r: random_coding_exponent_bsc(r, channel_param)
     if kind == "ex-bec":
         # The parameter is the side-channel erasure probability; the virtual
         # channel erases what the eavesdropper keeps.
@@ -351,7 +369,10 @@ def _curve_evaluator(
         return lambda r: expurgation_exponent_bec(r, 1.0 - channel_param)
     if kind == "ex-bsc-reduction":
         return lambda r: expurgation_exponent_bsc(r, channel_param)
-    raise ValueError(f"unknown curve kind {kind!r}")
+    if family is not None:
+        src = ChannelSpec(family, channel_param).joint()
+    terms = _tilt_terms(src)
+    return lambda r: _max_tilt(terms, r)
 
 
 def curve(
@@ -362,9 +383,11 @@ def curve(
     steps: int,
     clamp: bool = False,
     src: JointSource | None = None,
-    label: str | None = None,
 ) -> CurveTable:
     """Sample one exponent curve on `steps` evenly spaced rates in [r_min, r_max].
+
+    A kind with a family in CURVE_FAMILY reads `channel_param`, a probability
+    of that family; 'er-general' reads `src` instead.
 
     With `clamp`, negative values are emitted as 0 (figure convention); the
     reported optimizer location is left untouched.
@@ -381,7 +404,4 @@ def curve(
         opt = evaluator(r)
         val = 0.0 if clamp and opt.value < 0.0 else opt.value
         points.append(CurvePoint(r_nats=r, value_nats=val, theta_star=opt.theta_star))
-    channel = label if label is not None else (
-        "" if channel_param is None else f"{channel_param:g}"
-    )
-    return CurveTable(name=kind, channel=channel, points=tuple(points))
+    return CurveTable(points=tuple(points))

@@ -124,6 +124,18 @@ def _pow_table(x: float, n: int) -> list[float]:
     return out
 
 
+def _erasure_fold(weights: list[int], a: float, b: float) -> float:
+    """sum_s a^s * b^(n-s) * weights[s] over s = 0..n, n = len(weights) - 1."""
+    n = len(weights) - 1
+    a_pows = _pow_table(a, n)
+    b_pows = _pow_table(b, n)
+    total = 0.0
+    for s, w in enumerate(weights):
+        if w:
+            total += a_pows[s] * b_pows[n - s] * w
+    return total
+
+
 def _column_value_profile(m: BinMatrix) -> list[list[int]]:
     """Count column subsets by (size, rank) by a DP over the distinct column values.
 
@@ -199,15 +211,9 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     """
     check_enum_cols(m.cols)
     _check_prob("delta", delta)
-    n, k = m.cols, m.rows
-    profile = _rank_profile(m)
-    keep_pows = _pow_table(1.0 - delta, n)
-    lose_pows = _pow_table(delta, n)
-    total = 0.0
-    for s in range(n + 1):
-        err = sum(profile[s][r] for r in range(k))
-        if err:
-            total += keep_pows[s] * lose_pows[n - s] * err
+    k = m.rows
+    errors = [sum(row[:k]) for row in _rank_profile(m)]
+    total = _erasure_fold(errors, 1.0 - delta, delta)
     return PmlResult(value=min(total, 1.0), method="exact-enumeration")
 
 
@@ -297,14 +303,8 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     n = m.cols
     profile = _rank_profile(m)
     rnk = profile[n].index(1)  # the one n-column subset has rank rank(M)
-    erase_pows = _pow_table(eps, n)
-    keep_pows = _pow_table(1.0 - eps, n)
-    deficit = 0.0
-    for s in range(n + 1):
-        inner = sum((rnk - r) * c for r, c in enumerate(profile[s]))
-        if inner:
-            deficit += erase_pows[s] * keep_pows[n - s] * inner
-    leakage = LN2 * deficit
+    deficits = [sum((rnk - r) * c for r, c in enumerate(row)) for row in profile]
+    leakage = LN2 * _erasure_fold(deficits, eps, 1.0 - eps)
     bound = n * p_ml_erasure(m, 1.0 - eps).value
     return LeakageReport(
         leakage_nats=leakage,

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import closed_forms
 from leakexp.channels import bec_joint, bsc_joint, less_noisy_erasure_param
 from leakexp.cli import main
 from leakexp.exponents import (
@@ -116,12 +117,10 @@ def test_04_generic_optimizer_matches_closed_forms():
         bec, bsc = bec_joint(eps), bsc_joint(eps)
         for r in grid(0.0, LN2, 50):
             worst = max(worst, abs(
-                random_coding_exponent(r, bec).value
-                - random_coding_exponent_bec(r, eps).value
+                random_coding_exponent(r, bec).value - closed_forms.er_bec(r, eps)
             ))
             worst = max(worst, abs(
-                random_coding_exponent(r, bsc).value
-                - random_coding_exponent_bsc(r, eps).value
+                random_coding_exponent(r, bsc).value - closed_forms.er_bsc(r, eps)
             ))
     ok = worst <= 1e-9
     report(4, ok,

@@ -258,6 +258,13 @@ class TestExponentsCommand:
     def test_neither_kind_nor_preset(self, capsys):
         assert run(capsys, "exponents")[0] == 2
 
+    @pytest.mark.parametrize("channel", ["bec:0.5", "bsc:0.11"])
+    def test_family_kind_matches_general_byte_for_byte(self, capsys, channel):
+        family_kind = "er-" + channel.split(":")[0]
+        own = run(capsys, "exponents", family_kind, "--channel", channel)
+        general = run(capsys, "exponents", "er-general", "--channel", channel)
+        assert own[0] == 0 and own == general
+
     def test_family_mismatch(self, capsys):
         code, _, err = run(capsys, "exponents", "er-bec", "--channel", "bsc:0.25")
         assert code == 2 and "bec" in err

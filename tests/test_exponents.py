@@ -6,10 +6,12 @@ are required to agree, which exercises the optimizers from independent
 directions.
 """
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
-from leakexp.channels import bec_joint, bsc_joint
+import closed_forms
+from leakexp.channels import bec_joint, bsc_joint, parse_channel
 from leakexp.errors import DegenerateParameterError
 from leakexp.exponents import (
     critical_rate,
@@ -61,6 +63,26 @@ class TestRenyiExponent:
         fd = (renyi_exponent(1e-6, src) - renyi_exponent(0.0, src)) / 1e-6
         assert abs(fd - src.conditional_entropy_x_given_z()) <= 1e-5
 
+    @pytest.mark.parametrize("channel", ["bec:0.3", "bec:0.9", "bsc:0.11", "bsc:0.4"])
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0])
+    def test_relative_accuracy_toward_zero_tilt(self, channel, theta):
+        # 60-digit reference over the same cells, masses normalised to sum to 1
+        src = parse_channel(channel).joint()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            cells = [[Decimal(p) for p in row] for row in src.probs]
+            pz = [a + b for a, b in zip(*cells)]
+            mass = sum(pz)
+            t = Decimal(theta)
+            total = sum(
+                p / mass * (t * (p / q).ln()).exp()
+                for row in cells
+                for p, q in zip(row, pz)
+                if p > 0
+            )
+            ref = float(-total.ln())
+        assert abs(renyi_exponent(theta, src) - ref) <= 1e-14 * ref
+
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):
             renyi_exponent(-0.1, bec_joint(0.3))
@@ -82,16 +104,14 @@ class TestRandomCodingExponent:
         src = bec_joint(eps)
         for r in grid(0.0, LN2, 50):
             a = random_coding_exponent(r, src).value
-            b = random_coding_exponent_bec(r, eps).value
-            assert abs(a - b) <= 1e-9
+            assert abs(a - closed_forms.er_bec(r, eps)) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.11, 0.25])
     def test_generic_matches_bsc_closed_form(self, eps):
         src = bsc_joint(eps)
         for r in grid(0.0, LN2, 50):
             a = random_coding_exponent(r, src).value
-            b = random_coding_exponent_bsc(r, eps).value
-            assert abs(a - b) <= 1e-9
+            assert abs(a - closed_forms.er_bsc(r, eps)) <= 1e-9
 
     def test_vanishes_exactly_beyond_conditional_entropy(self):
         got = random_coding_exponent_bec(0.5 * LN2 + 1e-3, 0.5)
