@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input parse error, 3 size limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -232,6 +233,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leakexp",

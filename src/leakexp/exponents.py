@@ -5,16 +5,20 @@ Random-coding exponents are concave maximizations over a tilt parameter in
 evaluator of the tilted source, -log1p(sum m*expm1(theta*l)) over its
 (mass, ln P(x|z)) terms, which keeps its relative precision as theta -> 0.
 Expurgation-style exponents maximize over tilts >= 1, handled on the
-reciprocal axis u = 1/theta in (0, 1]. All optimizations use golden-section
-search to an interval of 1e-10 with explicit endpoint comparison, so boundary
-optimizers come back exact. Values are raw (possibly negative); clamping to
-zero is an emission-time option on `curve`, never applied inside operations.
+reciprocal axis u = 1/theta in (0, 1]. One golden-section search, batched over
+the rates of a curve, solves every optimization; it compares endpoints, so
+boundary optimizers come back exact, and stops at a 1e-10 interval, but at a
+flat interior optimum theta_star is good only to about 1e-6 relative (the
+value to rounding). Values are raw (possibly negative); clamping to zero is an
+emission-time option on `curve`, never applied inside operations.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .channels import ChannelSpec, JointSource, bec_joint, bsc_joint
 from .errors import DegenerateParameterError
@@ -46,6 +50,7 @@ _U_FLOOR = 1e-9
 _BISECT_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = _INVPHI * _INVPHI
+_Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
 
 # Each curve kind and the channel family ('bec' or 'bsc') of the probability
 # it takes; None marks a kind that takes a JointSource instead.
@@ -65,7 +70,9 @@ class OptResult:
 
     `theta_star` is the tilt (math.inf marks a limit that is approached, not
     attained, flagged by form 'closed-limit'); `p_star` is set only by the
-    flip-probability minimization form.
+    flip-probability minimization form. An interior `theta_star` is good to
+    about 1e-6 relative, not to the search's 1e-10 interval: the objective is
+    flat there, and differences below rounding cannot steer the search.
     """
 
     value: float
@@ -111,38 +118,48 @@ def _binary_entropy(p: float) -> float:
     return -_xlnx(p) - _xlnx(1.0 - p)
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Maximize a concave f on [a, b] to an interval of 1e-10; returns the best
-    of both endpoints and the interior point, preferring a then b on ties."""
+def _golden_max(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize m concave problems at once, problem i on [a[i], b[i]]; f maps
+    m points to their m values. Each problem stops at its own interval of 1e-10
+    and returns the best of both endpoints and the interior point, preferring a
+    then b on ties: the same steps and float arithmetic as a search of it alone."""
     fa, fb = f(a), f(b)
     if __debug__:
-        mid = 0.5 * (a + b)
-        scale = max(1.0, abs(fa), abs(fb))
-        assert f(mid) >= 0.5 * (fa + fb) - 1e-9 * scale, "objective not concave"
+        scale = np.maximum(1.0, np.maximum(abs(fa), abs(fb)))
+        fmid = f(0.5 * (a + b))
+        assert np.all(fmid >= 0.5 * (fa + fb) - 1e-9 * scale), "objective not concave"
     lo, hi = a, b
     x1 = lo + _INVPHI2 * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > _THETA_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _INVPHI2 * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
+    # All step until the last stops; each keeps the interval it stopped at.
+    end_lo, end_hi = lo, hi
+    active = hi - lo > _THETA_TOL
+    while active.any():
+        # f1 >= f2 keeps [lo, x2] and probes a new x1, else [x1, hi] and a new x2.
+        left = f1 >= f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
+        x = lo + np.where(left, _INVPHI2, _INVPHI) * (hi - lo)
+        fx = f(x)
+        x1, f1 = np.where(left, x, kept), np.where(left, fx, f_kept)
+        x2, f2 = np.where(left, kept, x), np.where(left, f_kept, fx)
+        end_lo, end_hi = np.where(active, lo, end_lo), np.where(active, hi, end_hi)
+        active &= hi - lo > _THETA_TOL
+    xm = 0.5 * (end_lo + end_hi)
     fm = f(xm)
-    best_x, best_f = a, fa
-    if fb > best_f:
-        best_x, best_f = b, fb
-    if fm > best_f:
-        best_x, best_f = xm, fm
-    return best_x, best_f
+    best_x, best_f = np.where(fb > fa, b, a), np.where(fb > fa, fb, fa)
+    return np.where(fm > best_f, xm, best_x), np.where(fm > best_f, fm, best_f)
 
 
-def _tilt_terms(src: JointSource) -> tuple[tuple[float, float], ...]:
+def _scalar_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    x, fx = _golden_max(np.vectorize(f, otypes=[float]), np.array([a]), np.array([b]))
+    return float(x[0]), float(fx[0])
+
+
+def _tilt_terms(src: JointSource) -> _Terms:
     """(mass, ln P(x|z)) for the cells of `src` with 0 < P(x|z) < 1, cells with
     equal log-ratios merged into one term. Cells with P(x|z) = 1 add nothing
     to the tilt and are left out."""
@@ -157,10 +174,10 @@ def _tilt_terms(src: JointSource) -> tuple[tuple[float, float], ...]:
 
 
 def _tilted_objective(
-    terms: tuple[tuple[float, float], ...], rate: float
-) -> Callable[[float], float]:
-    """theta -> -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate, the one
-    evaluator of the tilted source.
+    terms: _Terms, rate: np.ndarray | float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """theta -> -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate, elementwise
+    over arrays of tilts and rates; the one evaluator of the tilted source.
 
     The sum is taken as log1p(sum m*expm1(theta*l)) over `terms`, exact because
     the cell masses sum to 1 (JointSource checks it to 1e-12). No l is
@@ -168,18 +185,18 @@ def _tilted_objective(
     relative precision. Written 0.0 - x so that theta = 0 gives +0.0.
     """
 
-    def objective(theta: float) -> float:
+    def objective(theta: np.ndarray) -> np.ndarray:
         total = 0.0
         for mass, ell in terms:
-            total += mass * math.expm1(theta * ell)
-        return 0.0 - math.log1p(total) - theta * rate
+            total += mass * np.expm1(theta * ell)
+        return 0.0 - np.log1p(total) - theta * rate
 
     return objective
 
 
-def _max_tilt(terms: tuple[tuple[float, float], ...], rate: float) -> OptResult:
-    theta, value = _golden_max(_tilted_objective(terms, rate), 0.0, 1.0)
-    return OptResult(value=value, theta_star=theta, p_star=None, form="max-theta")
+def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta*, value) of the random-coding exponent at each rate."""
+    return _golden_max(_tilted_objective(terms, rates), np.zeros_like(rates), np.ones_like(rates))
 
 
 def renyi_exponent(theta: float, src: JointSource) -> float:
@@ -190,7 +207,7 @@ def renyi_exponent(theta: float, src: JointSource) -> float:
     """
     if theta < 0.0:
         raise ValueError("theta must be >= 0")
-    return _tilted_objective(_tilt_terms(src), 0.0)(theta)
+    return float(_tilted_objective(_tilt_terms(src), 0.0)(np.array([theta]))[0])
 
 
 def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
@@ -199,7 +216,8 @@ def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
     Zero (at theta = 0) once the rate reaches H(X|Z)."""
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    return _max_tilt(_tilt_terms(src), rate)
+    theta, value = _max_tilt(_tilt_terms(src), np.array([rate]))
+    return OptResult(float(value[0]), float(theta[0]), None, "max-theta")
 
 
 def random_coding_exponent_bec(rate: float, eps: float) -> OptResult:
@@ -221,6 +239,24 @@ def _check_delta(delta: float) -> None:
         )
 
 
+def _expurgation_tilt(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta*, value) of expurgation_exponent_bec at each rate (inf at rate 0)."""
+    _check_delta(delta)
+    ln_delta = math.log(delta)
+    theta = np.full(len(rates), math.inf)
+    value = np.full(len(rates), -0.5 * ln_delta)
+    pos = rates > 0.0
+    gap = LN2 - rates[pos]
+
+    # Search the flipped axis s = 1 - u so ties prefer the theta = 1 endpoint.
+    def g(s: np.ndarray) -> np.ndarray:
+        return (gap - np.log1p(np.exp((1.0 - s) * ln_delta))) / (1.0 - s)
+
+    s_star, value[pos] = _golden_max(g, np.zeros_like(gap), np.full_like(gap, 1.0 - _U_FLOOR))
+    theta[pos] = 1.0 / (1.0 - s_star)
+    return theta, value
+
+
 def expurgation_exponent_bec(rate: float, delta: float) -> OptResult:
     """max over theta >= 1 of theta*(ln 2 - rate - ln(1 + delta^(1/theta))).
 
@@ -231,31 +267,21 @@ def expurgation_exponent_bec(rate: float, delta: float) -> OptResult:
     _check_delta(delta)
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    if rate == 0.0:
-        return OptResult(
-            value=-0.5 * math.log(delta),
-            theta_star=math.inf,
-            p_star=None,
-            form="closed-limit",
-        )
-    ln_delta = math.log(delta)
-    gap = LN2 - rate
+    theta, value = _expurgation_tilt(np.array([rate]), delta)
+    form = "closed-limit" if rate == 0.0 else "max-theta"
+    return OptResult(float(value[0]), float(theta[0]), None, form)
 
-    def g(u: float) -> float:
-        return (gap - math.log1p(math.exp(u * ln_delta))) / u
 
-    # Search the flipped axis s = 1 - u so ties prefer the theta = 1 endpoint.
-    s_star, value = _golden_max(lambda s: g(1.0 - s), 0.0, 1.0 - _U_FLOOR)
-    u_best = 1.0 - s_star
-    return OptResult(value=value, theta_star=1.0 / u_best, p_star=None, form="max-theta")
+def _bsc_delta(eps: float) -> float:
+    if not 0.0 < eps < 0.5:
+        raise DegenerateParameterError(f"eps={eps} must lie strictly in (0, 1/2)")
+    return (1.0 - 2.0 * eps) ** 2
 
 
 def expurgation_exponent_bsc(rate: float, eps: float) -> OptResult:
     """Expurgation-style lower bound for a bit-flip side channel via its
     dominating erasure channel: delta = (1 - 2*eps)^2."""
-    if not 0.0 < eps < 0.5:
-        raise DegenerateParameterError(f"eps={eps} must lie strictly in (0, 1/2)")
-    return expurgation_exponent_bec(rate, (1.0 - 2.0 * eps) ** 2)
+    return expurgation_exponent_bec(rate, _bsc_delta(eps))
 
 
 def _constraint_boundary(rate: float) -> float:
@@ -295,7 +321,7 @@ def expurgation_exponent_min_form(rate: float, delta: float) -> OptResult:
     if 0.5 - p_lo <= _THETA_TOL:
         p_star, value = p_lo, objective(p_lo)
     else:
-        p_star, value = _golden_max(lambda p: -objective(p), p_lo, 0.5)
+        p_star, value = _scalar_max(lambda p: -objective(p), p_lo, 0.5)
         value = -value
     return OptResult(value=value, theta_star=None, p_star=p_star, form="min-p")
 
@@ -328,7 +354,7 @@ def lagrangian_dual_max(rate: float, delta: float) -> OptResult:
     hi = 1.0
     while hi < 2.0**40 and dual(hi) >= dual(hi / 2.0):
         hi *= 2.0
-    lam_star, value = _golden_max(dual, 0.0, hi)
+    lam_star, value = _scalar_max(dual, 0.0, hi)
     return OptResult(value=value, theta_star=1.0 + lam_star, p_star=None, form="max-theta")
 
 
@@ -351,30 +377,6 @@ def expurgation_rate(delta: float) -> float:
     return LN2 - math.log1p(delta) + delta * math.log(delta) / (1.0 + delta)
 
 
-def _curve_evaluator(
-    kind: str, channel_param: float | None, src: JointSource | None
-) -> Callable[[float], OptResult]:
-    if kind not in CURVE_FAMILY:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    family = CURVE_FAMILY[kind]
-    if family is None:
-        if src is None:
-            raise ValueError(f"kind {kind!r} needs a JointSource")
-    elif channel_param is None:
-        raise ValueError(f"kind {kind!r} needs a channel probability")
-    if kind == "ex-bec":
-        # The parameter is the side-channel erasure probability; the virtual
-        # channel erases what the eavesdropper keeps.
-        _check_delta(1.0 - channel_param)
-        return lambda r: expurgation_exponent_bec(r, 1.0 - channel_param)
-    if kind == "ex-bsc-reduction":
-        return lambda r: expurgation_exponent_bsc(r, channel_param)
-    if family is not None:
-        src = ChannelSpec(family, channel_param).joint()
-    terms = _tilt_terms(src)
-    return lambda r: _max_tilt(terms, r)
-
-
 def curve(
     kind: str,
     channel_param: float | None,
@@ -387,7 +389,9 @@ def curve(
     """Sample one exponent curve on `steps` evenly spaced rates in [r_min, r_max].
 
     A kind with a family in CURVE_FAMILY reads `channel_param`, a probability
-    of that family; 'er-general' reads `src` instead.
+    of that family; 'er-general' reads `src` instead. All rates are solved by
+    one batched search, each point equal to the scalar exponent function at
+    its rate.
 
     With `clamp`, negative values are emitted as 0 (figure convention); the
     reported optimizer location is left untouched.
@@ -396,12 +400,26 @@ def curve(
         raise ValueError("steps must be >= 2")
     if not 0.0 <= r_min < r_max < math.inf:
         raise ValueError("need 0 <= r_min < r_max < inf")
-    evaluator = _curve_evaluator(kind, channel_param, src)
-    span = r_max - r_min
-    points = []
-    for i in range(steps):
-        r = r_max if i == steps - 1 else r_min + span * i / (steps - 1)
-        opt = evaluator(r)
-        val = 0.0 if clamp and opt.value < 0.0 else opt.value
-        points.append(CurvePoint(r_nats=r, value_nats=val, theta_star=opt.theta_star))
+    if kind not in CURVE_FAMILY:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    family = CURVE_FAMILY[kind]
+    if family is None and src is None:
+        raise ValueError(f"kind {kind!r} needs a JointSource")
+    if family is not None and channel_param is None:
+        raise ValueError(f"kind {kind!r} needs a channel probability")
+    rates = r_min + (r_max - r_min) * np.arange(steps) / (steps - 1)
+    rates[-1] = r_max
+    if kind == "ex-bec":
+        # The parameter is the side-channel erasure probability; the virtual
+        # channel erases what the eavesdropper keeps.
+        theta, value = _expurgation_tilt(rates, 1.0 - channel_param)
+    elif kind == "ex-bsc-reduction":
+        theta, value = _expurgation_tilt(rates, _bsc_delta(channel_param))
+    else:
+        if family is not None:
+            src = ChannelSpec(family, channel_param).joint()
+        theta, value = _max_tilt(_tilt_terms(src), rates)
+    if clamp:
+        value = np.where(value < 0.0, 0.0, value)
+    points = map(CurvePoint, rates.tolist(), value.tolist(), theta.tolist())
     return CurveTable(points=tuple(points))

@@ -408,3 +408,29 @@ class TestEntryPoints:
     def test_unknown_subcommand_exits_two(self, tmp_path):
         proc = run_python(tmp_path, "-c", console_script_code(), "transmogrify")
         assert proc.returncode == 2
+
+    def test_back_to_back_calls_match_separate_processes(
+        self, capsys, monkeypatch, tmp_path, matrix_file
+    ):
+        # main reuses one parser per process; a run of different subcommands
+        # in one process must print, write and exit as one process per call.
+        assert cli.build_parser() is cli.build_parser()
+        jobs = [
+            ["exponents", "--preset", "fig3"],
+            ["exponents", "er-bsc", "--channel", "bsc:0.11", "--steps", "20"],
+            ["leakage", "--matrix", matrix_file, "--channel", "bec:0.5"],
+            ["exponents", "er-bec", "--channel", "bsc:0.25"],
+            ["exponents", "er-bsc", "--channel", "bsc:0.11", "--steps", "20"],
+        ]
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        together.mkdir(), apart.mkdir()
+        monkeypatch.chdir(together)
+        in_process = [run(capsys, *argv) for argv in jobs]
+        separate = []
+        for argv in jobs:
+            proc = run_python(apart, "-m", "leakexp", *argv)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == separate
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+        for name in ("fig3_er.csv", "fig3_ex.csv"):
+            assert (together / name).read_bytes() == (apart / name).read_bytes()

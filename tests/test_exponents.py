@@ -8,12 +8,14 @@ directions.
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 import closed_forms
 from leakexp.channels import bec_joint, bsc_joint, parse_channel
 from leakexp.errors import DegenerateParameterError
 from leakexp.exponents import (
+    _golden_max,
     critical_rate,
     curve,
     expurgation_exponent_bec,
@@ -39,6 +41,72 @@ def h2(p: float) -> float:
 
 def grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
+def plateau(center, radius):
+    """Concave x -> -max(|x - center| - radius, 0), flat within radius of center."""
+    return lambda x: -np.maximum(abs(x - center) - radius, 0.0)
+
+
+def golden_max_one(f, a: float, b: float) -> tuple[float, float]:
+    """One problem at a time on Python floats: the search the batched
+    _golden_max must reproduce step for step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = invphi * invphi
+    fa, fb = f(a), f(b)
+    lo, hi = a, b
+    x1, x2 = lo + invphi2 * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-10:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = lo + invphi2 * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    xm = 0.5 * (lo + hi)
+    fm = f(xm)
+    best_x, best_f = a, fa
+    if fb > best_f:
+        best_x, best_f = b, fb
+    if fm > best_f:
+        best_x, best_f = xm, fm
+    return best_x, best_f
+
+
+class TestGoldenMax:
+    def test_batch_equals_each_problem_alone(self):
+        # Widths from 0 (an empty interval) to 10 make the problems stop at
+        # different steps; centers beyond either end and wide plateaus give
+        # boundary optima and ties.
+        rng = np.random.default_rng(20)
+        m = 60
+        a = rng.uniform(-2.0, 2.0, m)
+        width = 10.0 ** rng.uniform(-12.0, 1.0, m)
+        width[:3] = 0.0
+        b = a + width
+        center = rng.uniform(a - width, b + width)
+        radius = np.where(rng.random(m) < 0.3, 0.3 * width, 0.0)
+        x, fx = _golden_max(plateau(center, radius), a, b)
+        for i in range(m):
+            one = slice(i, i + 1)
+            xi, fi = _golden_max(plateau(center[one], radius[one]), a[one], b[one])
+            assert (x[i].hex(), fx[i].hex()) == (xi[0].hex(), fi[0].hex())
+            f = plateau(float(center[i]), float(radius[i]))
+            xs, fs = golden_max_one(lambda t: float(f(t)), float(a[i]), float(b[i]))
+            assert (x[i].hex(), fx[i].hex()) == (xs.hex(), fs.hex())
+
+    def test_ties_prefer_left_end_then_left_part(self):
+        a, b = np.array([2.0, 0.0]), np.array([3.0, 1.0])
+        center, radius = np.array([2.5, 0.5]), np.array([1.0, 0.25])
+        x, fx = _golden_max(plateau(center, radius), a, b)
+        # flat everywhere: the left end itself
+        assert x[0] == 2.0 and fx[0] == 0.0
+        # flat on [0.25, 0.75]: equal probes keep the left part, so the
+        # search closes on the plateau's left edge
+        assert abs(x[1] - 0.25) <= 1e-9 and fx[1] == 0.0
 
 
 class TestRenyiExponent:
@@ -209,6 +277,16 @@ class TestMinFormAndDuality:
             assert abs(mx - mn) <= 1e-6
             assert abs(mx - du) <= 1e-6
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.999, 1.0 - 1e-6])
+    def test_three_forms_agree_toward_extreme_delta(self, delta):
+        # accuracy contract of expurgation_exponent_bec as delta -> 0 and -> 1
+        for r in grid(0.02, LN2 - 0.02, 40):
+            mx = expurgation_exponent_bec(r, delta).value
+            mn = expurgation_exponent_min_form(r, delta).value
+            du = lagrangian_dual_max(r, delta).value
+            assert abs(mx - mn) <= 1e-10
+            assert abs(mx - du) <= 1e-10
+
     def test_dual_at_zero_multiplier_is_unit_tilt_objective(self):
         r, delta = 0.2, 0.5
         got = lagrangian_dual(0.0, r, delta)
@@ -325,6 +403,46 @@ class TestCurve:
         for p in table.points:
             if p.r_nats >= 0.5 * LN2:
                 assert p.value_nats == 0.0 and p.theta_star == 0.0
+
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+    def test_er_bec_tilt_near_closed_form_maximizer(self, eps):
+        # theta* = log2(eps (ln 2 - R) / (R (1 - eps))) clipped to [0, 1]. The
+        # search stops at a 1e-10 interval, but the objective is flat at its
+        # optimum, so the reported tilt is only good to about 1e-6.
+        for p in curve("er-bec", eps, 0.0, LN2, 200).points:
+            r = p.r_nats
+            if r == 0.0:
+                expect = 1.0
+            elif r == LN2:
+                expect = 0.0
+            else:
+                expect = min(1.0, max(0.0, math.log2(eps * (LN2 - r) / (r * (1.0 - eps)))))
+            assert abs(p.theta_star - expect) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "kind, param, src, scalar",
+        [
+            ("er-general", None, bsc_joint(0.11),
+             lambda r: random_coding_exponent(r, bsc_joint(0.11))),
+            ("er-bec", 0.3, None, lambda r: random_coding_exponent_bec(r, 0.3)),
+            ("er-bsc", 0.11, None, lambda r: random_coding_exponent_bsc(r, 0.11)),
+            ("ex-bec", 0.3, None, lambda r: expurgation_exponent_bec(r, 0.7)),
+            ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bsc(r, 0.11)),
+        ],
+    )
+    def test_points_equal_scalar_calls_bit_for_bit(self, kind, param, src, scalar):
+        table = curve(kind, param, 0.0, LN2, 101, src=src)
+        for p in table.points:
+            opt = scalar(p.r_nats)
+            assert p.value_nats.hex() == opt.value.hex()
+            assert p.theta_star.hex() == opt.theta_star.hex()
+        thetas = [p.theta_star for p in table.points]
+        if kind.startswith("ex-"):
+            # the rate-0 closed limit
+            assert thetas[0] == math.inf and thetas[1] < math.inf
+        else:
+            # the zero tail beyond the conditional entropy
+            assert thetas[-1] == 0.0 and thetas[0] == 1.0
 
     def test_general_kind_needs_source(self):
         with pytest.raises(ValueError):
