@@ -7,8 +7,9 @@ column-subset ranks of M, aggregated once per matrix into a profile counting
 subsets by (size, rank): for k <= 3 rows by a DP over the distinct column
 values whose states are the at most 16 subspaces of F_2^k, at a cost
 independent of 2^n; above that by a subset-sum transform over the codeword
-supports in O(n 2^n). Bit-flip leakage needs only the codeword weights and
-one Walsh-Hadamard transform, O(r 2^r).
+supports, O(n 2^n) additions done 2 to 8 counts at a time in 64-bit words.
+Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
+transform, O(r 2^r).
 The Monte Carlo decoding error decides a chunk of samples at once, by k pivot
 steps over the rows of M packed into ceil(n/64) words per sample.
 
@@ -50,12 +51,13 @@ _SLACK_FLOOR = -1e-9
 # The most draws or packed words one Monte Carlo chunk's arrays may hold:
 # 65536 samples for n <= 32 columns, fewer for wider matrices.
 _MC_CHUNK_ENTRIES = 1 << 21
-# Entries of a 2^n or 2^r table handled per numpy block.
+# Entries, or 64-bit words, of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
 # Up to this many rows the column-value DP builds the profile, above it the
-# subset-sum transform. Median single builds on random matrices (2-vCPU VM,
-# numpy 2.4): 2x24 DP 0.16 ms, transform 260 ms; 3x26 DP 0.77 ms; 4x12 1.1 and
-# 0.19 ms; 6x12 11 and 0.19 ms.
+# subset-sum transform. Median single builds, DP/transform, on random matrices
+# (2-vCPU VM, numpy 2.4): 2x24 0.24/115 ms, 3x26 1.0/515, 4x12 1.1/0.18, 6x12
+# 8.5/0.21. Past k = 3 the DP wins from n = 19 at k = 4 (4x24 4.1/105 ms), from
+# n = 22 at k = 5, and not up to n = 24 at k = 6 (6x24 131/93 ms).
 _VALUE_DP_MAX_ROWS = 3
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
@@ -165,6 +167,33 @@ def _column_value_profile(m: BinMatrix) -> list[list[int]]:
     return profile
 
 
+def _subset_sum(a: np.ndarray, n: int) -> None:
+    """In place, a[S] becomes the sum of a[T] over the subsets T of S (Yates).
+
+    `a` is a little-endian unsigned table, zero past its 2^n entries up to at
+    least one 64-bit word. It is transformed as words of 2, 4 or 8 lanes, so no
+    sum may overflow its lane, else it would carry into the next lane.
+    """
+    lane = 8 * a.itemsize
+    words = a.view("<u8")
+    in_word = min(n, (64 // lane).bit_length() - 1)
+    tmp = np.empty(min(len(words), _CHUNK), dtype=np.uint64)
+    for lo in range(0, len(words), _CHUNK):
+        w, t = words[lo:lo + _CHUNK], tmp[:len(words) - lo]
+        for s in (lane << i for i in range(in_word)):
+            # Pass i adds each lane whose index has bit i clear onto the lane
+            # 2^i above it: the low s bits of every 2s-bit block, shifted by s.
+            mask = np.uint64(sum(((1 << s) - 1) << b for b in range(0, 64, 2 * s)))
+            w += np.left_shift(np.bitwise_and(w, mask, out=t), np.uint64(s), out=t)
+    # The other passes add whole words, in runs of 2^(i - in_word). Runs of up
+    # to 4 words go one offset at a time, so each numpy call is one long loop.
+    for i in range(in_word, n):
+        run = 1 << (i - in_word)
+        v = words.reshape(-1, 2, run)
+        for j in range(run) if run <= 4 else [slice(None)]:
+            v[:, 1, j] += v[:, 0, j]
+
+
 def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
     """Count column subsets by (size, rank) from the supports of the codewords.
 
@@ -174,25 +203,34 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
     every S at once (Yates; Bjorklund et al., STOC 2007).
     """
     n, k = m.cols, m.rows
-    basis = _row_basis(m)
+    # In reduced echelon form, sorted by leading bit, the basis spans its
+    # codewords in increasing order, so the scatter writes memory in order.
+    basis = sorted(_row_basis(m))
+    for i, b in enumerate(basis):
+        top = 1 << (b.bit_length() - 1)
+        basis[i + 1:] = [v ^ b if v & top else v for v in basis[i + 1:]]
     r = len(basis)
-    a = np.zeros(1 << n, dtype=np.min_scalar_type(1 << r))
+    # No count a[S] exceeds 2^r, so none overflows this lane type.
+    lane = np.dtype(np.min_scalar_type(1 << r)).newbyteorder("<")
+    a = np.zeros(max(1 << n, 8 // lane.itemsize), dtype=lane)
     a[_xor_span(basis, np.uint32)] = 1
-    for i in range(n):
-        v = a.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    # Histogram (|J|, rank(M_J)) chunk by chunk. A chunk starts at a multiple
-    # of its power-of-two length, so popcount(lo + j) = popcount(lo) +
-    # popcount(j); a[S] is a power of two, so its log2 is popcount(a[S] - 1).
-    width = k + 1
-    chunk = min(len(a), _CHUNK)
-    low_kept = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
-    counts = np.zeros((n + 1) * width, dtype=np.int64)
-    for lo in range(0, len(a), chunk):
-        erased = (n - lo.bit_count()) - low_kept
-        rnk = r - np.bitwise_count(a[lo:lo + chunk] - 1).astype(np.intp)
-        counts += np.bincount(erased * width + rnk, minlength=len(counts))
-    return counts.reshape(n + 1, width).tolist()
+    _subset_sum(a, n)
+    # Histogram chunk by chunk (a chunk starts at a multiple of its length),
+    # per popcount of the high bits of S, keyed popcount(low bits) * 32 +
+    # log2 a[S]; a[S] is a power of two <= 2^r, so log2 a[S] = popcount(a[S] - 1) < 32.
+    chunk = min(1 << n, _CHUNK)
+    low_bits = chunk.bit_length() - 1
+    low = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.uint16) * 32
+    key = np.empty(chunk, dtype=np.uint16)
+    counts = np.zeros((n - low_bits + 1, low_bits + 1, 32), dtype=np.int64)
+    for lo in range(0, 1 << n, chunk):
+        np.add(low, np.bitwise_count(a[lo:lo + chunk] - 1), out=key)
+        row = counts[lo.bit_count()]
+        row += np.bincount(key, minlength=row.size).reshape(row.shape)
+    profile = [[0] * (k + 1) for _ in range(n + 1)]
+    for hi, low_kept, log_a in zip(*np.nonzero(counts)):
+        profile[n - hi - low_kept][r - log_a] += int(counts[hi, low_kept, log_a])
+    return profile
 
 
 @lru_cache(maxsize=128)

@@ -2,18 +2,28 @@
 
 The column-value DP and the subset-sum transform share no code; the oracle
 counts every column subset with gf2.rank on an explicit column submatrix.
+The word-parallel subset-sum kernel is checked against the one-bit-per-pass
+loop, and the profiles that need more than one histogram chunk (n > 16) or a
+uint32 count table (rank >= 16) against closed forms and the DP.
 """
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leakexp.gf2 import BinMatrix, rank
-from leakexp.leakage import _column_value_profile, _rank_profile, _subset_sum_profile
+from leakexp.gf2 import BinMatrix, random_matrix, rank
+from leakexp.leakage import (
+    _column_value_profile,
+    _rank_profile,
+    _subset_sum,
+    _subset_sum_profile,
+)
 
 from column_sets import IndexSet, from_columns, submatrix_cols
 
@@ -69,3 +79,53 @@ def test_column_order_is_invisible_at_26_columns(k):
     assert _column_value_profile(from_columns(k, cols)) == profile
     assert [sum(row) for row in profile] == [math.comb(26, s) for s in range(27)]
     assert profile[26] == [0] * k + [1]  # 26 random columns span F_2^k
+
+
+def textbook_subset_sum(values: list[int], n: int) -> list[int]:
+    """Yates's loop: pass i adds entry S without bit i onto each S with bit i."""
+    out = list(values)
+    for i in range(n):
+        for s in range(1 << n):
+            if (s >> i) & 1:
+                out[s] += out[s ^ (1 << i)]
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["<u1", "<u2", "<u4"])
+@pytest.mark.parametrize("n", range(13))
+def test_word_parallel_subset_sum_matches_textbook_loop(dtype, n):
+    rng = np.random.default_rng(n)
+    # The largest transformed entry, at the full set, is the sum of all
+    # entries; drawing them to sum to the lane maximum keeps every count in
+    # its lane with no room to spare.
+    values = rng.multinomial(np.iinfo(dtype).max, rng.dirichlet(np.full(1 << n, 0.3)))
+    # Tables shorter than one 64-bit word (n = 0, 1, 2) are zero-padded to one.
+    a = np.zeros(max(1 << n, 8 // np.dtype(dtype).itemsize), dtype=dtype)
+    a[:1 << n] = values
+    _subset_sum(a, n)
+    assert a[:1 << n].tolist() == textbook_subset_sum(values.tolist(), n)
+    assert not a[1 << n:].any()
+
+
+def test_block_diagonal_profile_is_a_convolution():
+    """diag(I_14, B): rank and size add over the two blocks (n = 20, rank 18)."""
+    b = random_matrix(4, 6, 11)
+    assert rank(b) == 4
+    m = BinMatrix(18, 20, tuple(1 << i for i in range(14)) + tuple(v << 14 for v in b.bits))
+    want = [[0] * 19 for _ in range(21)]
+    for s, (t, row) in itertools.product(range(15), enumerate(per_mask_profile(b))):
+        for rb, c in enumerate(row):
+            want[s + t][s + rb] += math.comb(14, s) * c
+    assert _subset_sum_profile(m) == want
+
+
+def test_invertible_17x17_profile():
+    m = next(m for s in itertools.count() if rank(m := random_matrix(17, 17, s)) == 17)
+    want = [[math.comb(17, s) * (r == s) for r in range(18)] for s in range(18)]
+    assert _subset_sum_profile(m) == want
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_four_row_profile_past_one_chunk_matches_dp(n):
+    m = random_matrix(4, n, n)
+    assert _subset_sum_profile(m) == _column_value_profile(m)
