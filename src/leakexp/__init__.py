@@ -5,7 +5,6 @@ from .channels import (
     JointSource,
     bec_joint,
     bsc_joint,
-    less_noisy_erasure_param,
     parse_channel,
 )
 from .errors import (
@@ -24,8 +23,6 @@ from .exponents import (
     expurgation_exponent_bsc,
     expurgation_exponent_min_form,
     expurgation_rate,
-    lagrangian_dual,
-    lagrangian_dual_max,
     random_coding_exponent,
     random_coding_exponent_bec,
     random_coding_exponent_bsc,
@@ -33,7 +30,6 @@ from .exponents import (
 )
 from .gf2 import (
     BinMatrix,
-    format_matrix,
     parse_matrix,
     random_matrix,
     rank,
@@ -42,7 +38,6 @@ from .leakage import (
     LeakageReport,
     PmlResult,
     best_matrix_search,
-    brute_force_leakage,
     exact_leakage_bec,
     exact_leakage_bsc,
     mc_p_ml_erasure,
@@ -57,18 +52,15 @@ __all__ = [
     "rank",
     "random_matrix",
     "parse_matrix",
-    "format_matrix",
     "JointSource",
     "ChannelSpec",
     "bec_joint",
     "bsc_joint",
-    "less_noisy_erasure_param",
     "parse_channel",
     "LeakageReport",
     "PmlResult",
     "exact_leakage_bec",
     "exact_leakage_bsc",
-    "brute_force_leakage",
     "p_ml_erasure",
     "mc_p_ml_erasure",
     "verify_leakage_bound",
@@ -83,8 +75,6 @@ __all__ = [
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
     "expurgation_exponent_min_form",
-    "lagrangian_dual",
-    "lagrangian_dual_max",
     "critical_rate",
     "expurgation_rate",
     "curve",

@@ -19,7 +19,6 @@ __all__ = [
     "ChannelSpec",
     "bec_joint",
     "bsc_joint",
-    "less_noisy_erasure_param",
     "parse_channel",
 ]
 
@@ -56,23 +55,10 @@ class JointSource:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
-    def p_x(self) -> tuple[float, float]:
-        return (sum(self.probs[0]), sum(self.probs[1]))
-
     def p_z(self) -> tuple[float, ...]:
         return tuple(
             self.probs[0][i] + self.probs[1][i] for i in range(len(self.z_alphabet))
         )
-
-    def conditional_entropy_x_given_z(self) -> float:
-        """H(X|Z) in nats, computed directly from the table."""
-        pz = self.p_z()
-        h = 0.0
-        for x in (0, 1):
-            for i, p in enumerate(self.probs[x]):
-                if p > 0.0:
-                    h -= p * math.log(p / pz[i])
-        return h
 
 
 def bec_joint(eps: float) -> JointSource:
@@ -97,14 +83,6 @@ def bsc_joint(eps: float) -> JointSource:
         z_alphabet=(Z_ZERO, Z_ONE),
         probs=((keep, flip), (flip, keep)),
     )
-
-
-def less_noisy_erasure_param(eps: float) -> float:
-    """Erasure probability 4*eps*(1-eps) of the erasure channel that dominates
-    a crossover-eps bit-flip channel in the less-noisy order."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"crossover probability {eps} outside [0, 1]")
-    return 4.0 * eps * (1.0 - eps)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """Error-exponent curves for secrecy rates over binary side channels.
 
-Random-coding exponents are concave maximizations over a tilt parameter in
-[0, 1]. For either channel family and for any JointSource they use one
-evaluator of the tilted source, -log1p(sum m*expm1(theta*l)) over its
-(mass, ln P(x|z)) terms, which keeps its relative precision as theta -> 0.
-Expurgation-style exponents maximize over tilts >= 1, handled on the
-reciprocal axis u = 1/theta in (0, 1]. One golden-section search, batched over
-the rates of a curve, solves every optimization; it compares endpoints, so
-boundary optimizers come back exact, and stops at a 1e-10 interval, but at a
-flat interior optimum theta_star is good only to about 1e-6 relative (the
-value to rounding). Values are raw (possibly negative); clamping to zero is an
-emission-time option on `curve`, never applied inside operations.
+Every exponent here is a concave maximization over a tilt theta, solved where
+its slope vanishes by one root-finder run on all rates of a curve at once.
+
+Random-coding exponents maximize over theta in [0, 1]. For either channel
+family and for any JointSource they use one evaluator of the tilted source,
+-log1p(sum m*expm1(theta*l)) over its (mass, ln P(x|z)) terms, which keeps its
+relative precision as theta -> 0. The slope is minus the tilted mean of l less
+the rate, H(X|Z) - R at theta = 0, and decreases with theta.
+Expurgation-style exponents maximize over theta >= 1. Their slope is
+ln 2 - R - h(p) with p = t/(1+t) and t = delta^(1/theta), so they are solved on
+x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta).
+
+The root-finder takes Newton steps inside a sign bracket, bisecting where a
+step would leave it; each rate stops on its own once its step is below 1e-14,
+and a slope that keeps one sign over the range returns that end exactly.
+Values are raw (possibly negative); clamping to zero is an emission-time
+option on `curve`, never applied inside operations.
 """
 from __future__ import annotations
 
@@ -34,8 +40,6 @@ __all__ = [
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
     "expurgation_exponent_min_form",
-    "lagrangian_dual",
-    "lagrangian_dual_max",
     "critical_rate",
     "expurgation_rate",
     "curve",
@@ -45,11 +49,13 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-_THETA_TOL = 1e-10
-_U_FLOOR = 1e-9
-_BISECT_TOL = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = _INVPHI * _INVPHI
+_STEP_TOL = 1e-14
+# Below this a Newton step's successor is about its square, so a step that
+# then fails to shrink is rounding noise in a flat slope (er-bsc at eps = 0.45
+# wanders by 1e-13), and the root is as good as the slope allows.
+_NOISE_STEP = 1e-7
+# A bound on the steps of any one root; the preset curves need at most 8.
+_MAX_STEPS = 100
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
 
 # Each curve kind and the channel family ('bec' or 'bsc') of the probability
@@ -70,9 +76,8 @@ class OptResult:
 
     `theta_star` is the tilt (math.inf marks a limit that is approached, not
     attained, flagged by form 'closed-limit'); `p_star` is set only by the
-    flip-probability minimization form. An interior `theta_star` is good to
-    about 1e-6 relative, not to the search's 1e-10 interval: the objective is
-    flat there, and differences below rounding cannot steer the search.
+    flip-probability minimization form. An interior `theta_star` is a root of
+    the objective's slope, taken once a Newton step falls below 1e-14.
     """
 
     value: float
@@ -109,54 +114,40 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _xlnx(p: float) -> float:
-    return p * math.log(p) if p > 0.0 else 0.0
+def _decreasing_root(
+    slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Roots of m decreasing functions at once, problem i on [lo[i], hi[i]]
+    started at x[i]; `slope` maps m points to the m values and derivatives.
 
-
-def _binary_entropy(p: float) -> float:
-    """Binary entropy in nats; h(0) = h(1) = 0."""
-    return -_xlnx(p) - _xlnx(1.0 - p)
-
-
-def _golden_max(
-    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize m concave problems at once, problem i on [a[i], b[i]]; f maps
-    m points to their m values. Each problem stops at its own interval of 1e-10
-    and returns the best of both endpoints and the interior point, preferring a
-    then b on ties: the same steps and float arithmetic as a search of it alone."""
-    fa, fb = f(a), f(b)
-    if __debug__:
-        scale = np.maximum(1.0, np.maximum(abs(fa), abs(fb)))
-        fmid = f(0.5 * (a + b))
-        assert np.all(fmid >= 0.5 * (fa + fb) - 1e-9 * scale), "objective not concave"
-    lo, hi = a, b
-    x1 = lo + _INVPHI2 * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    # All step until the last stops; each keeps the interval it stopped at.
-    end_lo, end_hi = lo, hi
-    active = hi - lo > _THETA_TOL
-    while active.any():
-        # f1 >= f2 keeps [lo, x2] and probes a new x1, else [x1, hi] and a new x2.
-        left = f1 >= f2
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
-        x = lo + np.where(left, _INVPHI2, _INVPHI) * (hi - lo)
-        fx = f(x)
-        x1, f1 = np.where(left, x, kept), np.where(left, fx, f_kept)
-        x2, f2 = np.where(left, kept, x), np.where(left, f_kept, fx)
-        end_lo, end_hi = np.where(active, lo, end_lo), np.where(active, hi, end_hi)
-        active &= hi - lo > _THETA_TOL
-    xm = 0.5 * (end_lo + end_hi)
-    fm = f(xm)
-    best_x, best_f = np.where(fb > fa, b, a), np.where(fb > fa, fb, fa)
-    return np.where(fm > best_f, xm, best_x), np.where(fm > best_f, fm, best_f)
-
-
-def _scalar_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    x, fx = _golden_max(np.vectorize(f, otypes=[float]), np.array([a]), np.array([b]))
-    return float(x[0]), float(fx[0])
+    A problem whose value is <= 0 at lo returns lo, one whose value is >= 0
+    at hi returns hi. The others take Newton steps inside a bracket with a
+    positive value at its left end and a negative one at its right; a step
+    that would leave the bracket bisects it instead. Each problem stops once
+    its own step is below _STEP_TOL, or no shorter than its previous step
+    when that was below _NOISE_STEP: the same steps and float arithmetic as
+    a solve of it alone.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_lo, g_hi = slope(lo)[0], slope(hi)[0]
+        x = np.where(g_lo <= 0.0, lo, np.where(g_hi >= 0.0, hi, x))
+        active = (g_lo > 0.0) & (g_hi < 0.0)
+        prev = np.full_like(x, np.inf)
+        for _ in range(_MAX_STEPS):
+            if not active.any():
+                break
+            g, dg = slope(x)
+            lo, hi = np.where(g > 0.0, x, lo), np.where(g < 0.0, x, hi)
+            nx = x - g / dg
+            nx = np.where((lo <= nx) & (nx <= hi), nx, 0.5 * (lo + hi))
+            step = abs(nx - x)
+            x = np.where(active, nx, x)
+            active &= (step > _STEP_TOL) & ((step < prev) | (prev >= _NOISE_STEP))
+            prev = step
+    return x
 
 
 def _tilt_terms(src: JointSource) -> _Terms:
@@ -194,9 +185,33 @@ def _tilted_objective(
     return objective
 
 
+def _tilt_slope(
+    terms: _Terms, rate: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """theta -> (slope, curvature) of _tilted_objective: minus the mean of l
+    under the tilt less the rate, and minus its variance. The tilted masses
+    are m*e^(theta*l) over the normaliser 1 + sum m*expm1(theta*l)."""
+
+    def slope(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        total = first = second = 0.0
+        for mass, ell in terms:
+            e = np.expm1(theta * ell)
+            w = mass + mass * e
+            total += mass * e
+            first += w * ell
+            second += w * ell * ell
+        norm = 1.0 + total
+        mean = first / norm
+        return -mean - rate, mean * mean - second / norm
+
+    return slope
+
+
 def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta*, value) of the random-coding exponent at each rate."""
-    return _golden_max(_tilted_objective(terms, rates), np.zeros_like(rates), np.ones_like(rates))
+    lo, hi = np.zeros_like(rates), np.ones_like(rates)
+    theta = _decreasing_root(_tilt_slope(terms, rates), lo, hi, np.full_like(rates, 0.5))
+    return theta, _tilted_objective(terms, rates)(theta)
 
 
 def renyi_exponent(theta: float, src: JointSource) -> float:
@@ -239,35 +254,63 @@ def _check_delta(delta: float) -> None:
         )
 
 
-def _expurgation_tilt(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(theta*, value) of expurgation_exponent_bec at each rate (inf at rate 0)."""
+def _divergence_slope(
+    rate: np.ndarray,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """x -> (rate - D(x), -D'(x)) for D(x) = ln 2 - h(1/2 - x), with y = 2x and
+    D'(x) = 2*atanh(y) = log1p(y) - log1p(-y).
+
+    D is y*atanh(y) + log1p(-y^2)/2 below y = 1/2, which loses no digits as
+    x -> 0, and ((1+y)*log1p(y) + (1-y)*log1p(-y))/2 above, which loses none as
+    x -> 1/2."""
+
+    def slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = 2.0 * x
+        up, down = np.log1p(y), np.log1p(-y)
+        low = 0.5 * (y * (up - down) + np.log1p(-y * y))
+        high = 0.5 * ((1.0 + y) * up + (1.0 - y) * down)
+        return rate - np.where(y < 0.5, low, high), down - up
+
+    return slope
+
+
+def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta*, value, p*) of expurgation_exponent_bec at each rate.
+
+    The slope in theta vanishes where h(p) = ln 2 - rate, solved on
+    x = 1/2 - p from D(x) = rate. Tilts >= 1 mean p >= delta/(1+delta), so x is
+    searched up to x_c = 1/2 - delta/(1+delta). A root below x_c has
+    theta* = ln(delta)/ln(p/(1-p)), inf at rate 0 (p = 1/2), and the value
+    -p*ln(delta); a rate past D(x_c) has theta* = 1 and the unit tilt's value.
+    """
     _check_delta(delta)
     ln_delta = math.log(delta)
-    theta = np.full(len(rates), math.inf)
-    value = np.full(len(rates), -0.5 * ln_delta)
-    pos = rates > 0.0
-    gap = LN2 - rates[pos]
-
-    # Search the flipped axis s = 1 - u so ties prefer the theta = 1 endpoint.
-    def g(s: np.ndarray) -> np.ndarray:
-        return (gap - np.log1p(np.exp((1.0 - s) * ln_delta))) / (1.0 - s)
-
-    s_star, value[pos] = _golden_max(g, np.zeros_like(gap), np.full_like(gap, 1.0 - _U_FLOOR))
-    theta[pos] = 1.0 / (1.0 - s_star)
-    return theta, value
+    # Kept below 1/2 so that D'(x) stays finite for the tiniest deltas.
+    x_c = min(0.5 * (1.0 - delta) / (1.0 + delta), math.nextafter(0.5, 0.0))
+    lo, hi = np.zeros_like(rates), np.full_like(rates, x_c)
+    # D(x) >= 2x^2, so the start sqrt(rate/2) is at or right of the root.
+    start = np.minimum(np.sqrt(0.5 * rates), x_c)
+    x = _decreasing_root(_divergence_slope(rates), lo, hi, start)
+    inner = x < x_c
+    p = np.where(inner, 0.5 - x, delta / (1.0 + delta))
+    with np.errstate(divide="ignore"):
+        log_odds = np.log1p(-2.0 * x) - np.log1p(2.0 * x)
+        # Rounding can put a root just below x_c a hair under theta = 1.
+        theta = np.where(inner, np.maximum(ln_delta / log_odds, 1.0), 1.0)
+    value = np.where(inner, -p * ln_delta, LN2 - rates - math.log1p(delta))
+    return theta, value, p
 
 
 def expurgation_exponent_bec(rate: float, delta: float) -> OptResult:
     """max over theta >= 1 of theta*(ln 2 - rate - ln(1 + delta^(1/theta))).
 
-    Solved on u = 1/theta in (0, 1] (floored at 1e-9). At rate 0 the supremum
-    -(1/2) ln delta is approached as theta grows without bound; that analytic
-    limit is returned with form 'closed-limit'.
+    At rate 0 the supremum -(1/2) ln delta is approached as theta grows without
+    bound; that limit is returned with theta_star = inf and form 'closed-limit'.
     """
     _check_delta(delta)
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    theta, value = _expurgation_tilt(np.array([rate]), delta)
+    theta, value, _ = _expurgation(np.array([rate]), delta)
     form = "closed-limit" if rate == 0.0 else "max-theta"
     return OptResult(float(value[0]), float(theta[0]), None, form)
 
@@ -284,78 +327,23 @@ def expurgation_exponent_bsc(rate: float, eps: float) -> OptResult:
     return expurgation_exponent_bec(rate, _bsc_delta(eps))
 
 
-def _constraint_boundary(rate: float) -> float:
-    """Smallest p in [0, 1/2] with binary entropy >= ln 2 - rate, by bisection."""
-    target = LN2 - rate
-    if target <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 0.5
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _binary_entropy(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def expurgation_exponent_min_form(rate: float, delta: float) -> OptResult:
     """Equivalent minimization over the virtual flip probability p:
 
         min -p*ln(delta) + (ln 2 - rate) - h(p)
         over p in [0, 1/2] with h(p) >= ln 2 - rate.
+
+    The objective is convex and stationary at p = delta/(1+delta); clipped to
+    the constraint boundary h(p) = ln 2 - rate, that is the p of the tilt
+    form's stationary point, so both forms share one solution.
     """
     _check_delta(delta)
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
     if rate > LN2 + 1e-12:
         raise ValueError("rate above ln 2 leaves no feasible p")
-    rate = min(rate, LN2)
-    ln_delta = math.log(delta)
-    gap = LN2 - rate
-
-    def objective(p: float) -> float:
-        return -p * ln_delta + gap - _binary_entropy(p)
-
-    p_lo = _constraint_boundary(rate)
-    if 0.5 - p_lo <= _THETA_TOL:
-        p_star, value = p_lo, objective(p_lo)
-    else:
-        p_star, value = _scalar_max(lambda p: -objective(p), p_lo, 0.5)
-        value = -value
-    return OptResult(value=value, theta_star=None, p_star=p_star, form="min-p")
-
-
-def lagrangian_dual(lam: float, rate: float, delta: float) -> float:
-    """Dual value at multiplier lam >= 0 for the min-form program; the inner
-    minimization over p is solved in closed form at p* = t/(1+t), t = delta^(1/(1+lam))."""
-    _check_delta(delta)
-    if lam < 0.0:
-        raise ValueError("multiplier must be >= 0")
-    theta = 1.0 + lam
-    t = math.exp(math.log(delta) / theta)
-    p_star = t / (1.0 + t)
-    return -p_star * math.log(delta) + theta * (LN2 - rate - _binary_entropy(p_star))
-
-
-def lagrangian_dual_max(rate: float, delta: float) -> OptResult:
-    """max over lam >= 0 of lagrangian_dual; bracket found by doubling."""
-    _check_delta(delta)
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
-    if rate == 0.0:
-        return OptResult(
-            value=-0.5 * math.log(delta),
-            theta_star=math.inf,
-            p_star=None,
-            form="closed-limit",
-        )
-    dual = lambda lam: lagrangian_dual(lam, rate, delta)
-    hi = 1.0
-    while hi < 2.0**40 and dual(hi) >= dual(hi / 2.0):
-        hi *= 2.0
-    lam_star, value = _scalar_max(dual, 0.0, hi)
-    return OptResult(value=value, theta_star=1.0 + lam_star, p_star=None, form="max-theta")
+    _, value, p = _expurgation(np.array([min(rate, LN2)]), delta)
+    return OptResult(value=float(value[0]), theta_star=None, p_star=float(p[0]), form="min-p")
 
 
 def critical_rate(eps: float) -> float:
@@ -390,7 +378,7 @@ def curve(
 
     A kind with a family in CURVE_FAMILY reads `channel_param`, a probability
     of that family; 'er-general' reads `src` instead. All rates are solved by
-    one batched search, each point equal to the scalar exponent function at
+    one batched root-find, each point equal to the scalar exponent function at
     its rate.
 
     With `clamp`, negative values are emitted as 0 (figure convention); the
@@ -412,9 +400,9 @@ def curve(
     if kind == "ex-bec":
         # The parameter is the side-channel erasure probability; the virtual
         # channel erases what the eavesdropper keeps.
-        theta, value = _expurgation_tilt(rates, 1.0 - channel_param)
+        theta, value, _ = _expurgation(rates, 1.0 - channel_param)
     elif kind == "ex-bsc-reduction":
-        theta, value = _expurgation_tilt(rates, _bsc_delta(channel_param))
+        theta, value, _ = _expurgation(rates, _bsc_delta(channel_param))
     else:
         if family is not None:
             src = ChannelSpec(family, channel_param).joint()

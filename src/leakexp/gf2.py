@@ -17,7 +17,6 @@ __all__ = [
     "rank",
     "random_matrix",
     "parse_matrix",
-    "format_matrix",
 ]
 
 
@@ -55,15 +54,6 @@ class BinMatrix:
                 v |= b << j
             packed.append(v)
         return cls(k, n, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "BinMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def to_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((b >> j) & 1 for j in range(self.cols)) for b in self.bits
-        )
 
     def to_bit_strings(self) -> tuple[str, ...]:
         return tuple(
@@ -160,9 +150,3 @@ def parse_matrix(text: str) -> BinMatrix:
                 )
         packed.append(v)
     return BinMatrix(k, n, tuple(packed))
-
-
-def format_matrix(m: BinMatrix) -> str:
-    """Inverse of parse_matrix; ends with a newline."""
-    body = "".join(s + "\n" for s in m.to_bit_strings())
-    return f"{m.rows} {m.cols}\n" + body

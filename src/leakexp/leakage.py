@@ -13,9 +13,7 @@ transform, O(r 2^r).
 The Monte Carlo decoding error decides a chunk of samples at once, by k pivot
 steps over the rows of M packed into ceil(n/64) words per sample.
 
-Limits: n <= 26 for the exact paths, none for Monte Carlo; the brute-force
-oracle costs |Z|^n 2^n (n <= 12 for erasure observations, n <= 14 for
-bit-flip ones).
+Limits: n <= 26 for the exact paths, none for Monte Carlo.
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import JointSource
 from .errors import InvariantViolationError, SizeLimitError
 # bench/spans.py wraps leakage.rank, so the name stays importable here.
 from .gf2 import BinMatrix, insert_reduced, random_matrix, rank  # noqa: F401
@@ -36,7 +33,6 @@ __all__ = [
     "PmlResult",
     "exact_leakage_bec",
     "exact_leakage_bsc",
-    "brute_force_leakage",
     "p_ml_erasure",
     "mc_p_ml_erasure",
     "verify_leakage_bound",
@@ -46,7 +42,6 @@ __all__ = [
 LN2 = math.log(2.0)
 
 _ENUM_MAX_COLS = 26
-_BRUTE_MAX_COLS = {2: 14, 3: 12}
 _SLACK_FLOOR = -1e-9
 # The most draws or packed words one Monte Carlo chunk's arrays may hold:
 # 65536 samples for n <= 32 columns, fewer for wider matrices.
@@ -416,53 +411,6 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
             big = np.where(y > -1.0, (1.0 + y) * np.log1p(y) - y, 1.0)
         total += float(np.sum(s * s * np.polyval(_PHI_SERIES, -s)) + np.sum(big))
     return LeakageReport(leakage_nats=math.ldexp(total, -r), hash_entropy_nats=r * LN2)
-
-
-def brute_force_leakage(m: BinMatrix, src: JointSource) -> float:
-    """Ground-truth leakage I(S; Z^n) by direct enumeration.
-
-    Builds the joint distribution of (S, Z^n) by summing the product source
-    over hash preimages, then returns H(S) + H(Z^n) - H(S, Z^n). No rank or
-    symmetry shortcuts; cost is |Z|^n * 2^n.
-    """
-    n, k = m.cols, m.rows
-    d = len(src.z_alphabet)
-    limit = _BRUTE_MAX_COLS.get(d)
-    if limit is None:
-        raise ValueError(f"unsupported side alphabet size {d}")
-    if n > limit:
-        raise SizeLimitError(
-            f"brute force enumerates {d}^n * 2^n patterns; n={n} exceeds {limit}"
-        )
-    if k > 62:
-        raise SizeLimitError("packed syndromes support at most 62 rows")
-    w_rows = [np.array(src.probs[0]), np.array(src.probs[1])]
-    syn = _xor_span(list(m.column_ints()), np.int64)
-    order = np.argsort(syn, kind="stable")
-    sorted_syn = syn[order]
-    # Group x-patterns by syndrome; accumulate each group's conditional mass
-    # over all |Z|^n observation words.
-    starts = [0] + list(np.flatnonzero(np.diff(sorted_syn)) + 1) + [len(order)]
-    z_count = d**n
-    p_z = np.zeros(z_count)
-    p_s = []
-    h_sz = 0.0
-    for g in range(len(starts) - 1):
-        acc = np.zeros(z_count)
-        for x in order[starts[g]:starts[g + 1]]:
-            x = int(x)
-            vec = np.ones(1)
-            for i in range(n):
-                vec = (vec[:, None] * w_rows[(x >> i) & 1][None, :]).ravel()
-            acc += vec
-        mass = acc[acc > 0.0]
-        h_sz -= float(np.sum(mass * np.log(mass)))
-        p_z += acc
-        p_s.append(float(acc.sum()))
-    mass = p_z[p_z > 0.0]
-    h_z = -float(np.sum(mass * np.log(mass)))
-    h_s = -sum(p * math.log(p) for p in p_s if p > 0.0)
-    return max(0.0, h_s + h_z - h_sz)
 
 
 def verify_leakage_bound(m: BinMatrix, eps: float) -> LeakageReport:

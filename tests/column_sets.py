@@ -1,5 +1,6 @@
 """Oracles' helpers for the tests: column subsets of a GF(2) matrix, matrices
-built from their columns, and Monte Carlo errors decided sample by sample."""
+built from their columns or as identities, rows and text of a matrix, and
+Monte Carlo errors decided sample by sample."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -55,6 +56,20 @@ def from_columns(k: int, cols: list[int]) -> BinMatrix:
     """The k-row matrix whose column j is cols[j], bit i being its entry in row i."""
     rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
     return BinMatrix(k, len(cols), rows)
+
+
+def identity(n: int) -> BinMatrix:
+    return BinMatrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def to_rows(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
+    """Entries of `m` as nested 0/1 tuples, row-major: the inverse of from_rows."""
+    return tuple(tuple((b >> j) & 1 for j in range(m.cols)) for b in m.bits)
+
+
+def format_matrix(m: BinMatrix) -> str:
+    """The text parse_matrix reads: a 'k n' header, then one line per row."""
+    return f"{m.rows} {m.cols}\n" + "".join(s + "\n" for s in m.to_bit_strings())
 
 
 def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> int:

@@ -1,9 +1,10 @@
 """Tests for the exponent curves and their optimization forms.
 
-Closed forms are pinned to hand-derived endpoint values; the three expurgation
-forms (tilt maximization, flip-probability minimization, dual maximization)
-are required to agree, which exercises the optimizers from independent
-directions.
+Closed forms are pinned to hand-derived endpoint values. The library solves
+each exponent where its slope vanishes; the oracles in tests/closed_forms.py
+maximize by search instead (random-coding and expurgation tilt, Lagrangian
+dual), and the two are required to agree, as are the slope at the returned
+tilt and the value at small rates against a 50-digit decimal oracle.
 """
 import math
 from decimal import Decimal, localcontext
@@ -15,15 +16,15 @@ import closed_forms
 from leakexp.channels import bec_joint, bsc_joint, parse_channel
 from leakexp.errors import DegenerateParameterError
 from leakexp.exponents import (
-    _golden_max,
+    _decreasing_root,
+    _tilt_slope,
+    _tilt_terms,
     critical_rate,
     curve,
     expurgation_exponent_bec,
     expurgation_exponent_bsc,
     expurgation_exponent_min_form,
     expurgation_rate,
-    lagrangian_dual,
-    lagrangian_dual_max,
     random_coding_exponent,
     random_coding_exponent_bec,
     random_coding_exponent_bsc,
@@ -43,70 +44,56 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def plateau(center, radius):
-    """Concave x -> -max(|x - center| - radius, 0), flat within radius of center."""
-    return lambda x: -np.maximum(abs(x - center) - radius, 0.0)
+class TestDecreasingRoot:
+    """The root-finder behind every exponent, on functions with known roots."""
 
+    @staticmethod
+    def arctan_slope(c):
+        # Newton from far off overshoots arctan's flat tails, so these
+        # problems also take the bisection fallback.
+        return lambda x: (np.arctan(c - x), -1.0 / (1.0 + (c - x) ** 2))
 
-def golden_max_one(f, a: float, b: float) -> tuple[float, float]:
-    """One problem at a time on Python floats: the search the batched
-    _golden_max must reproduce step for step."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
-    fa, fb = f(a), f(b)
-    lo, hi = a, b
-    x1, x2 = lo + invphi2 * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + invphi2 * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    fm = f(xm)
-    best_x, best_f = a, fa
-    if fb > best_f:
-        best_x, best_f = b, fb
-    if fm > best_f:
-        best_x, best_f = xm, fm
-    return best_x, best_f
-
-
-class TestGoldenMax:
-    def test_batch_equals_each_problem_alone(self):
-        # Widths from 0 (an empty interval) to 10 make the problems stop at
-        # different steps; centers beyond either end and wide plateaus give
-        # boundary optima and ties.
-        rng = np.random.default_rng(20)
-        m = 60
-        a = rng.uniform(-2.0, 2.0, m)
-        width = 10.0 ** rng.uniform(-12.0, 1.0, m)
-        width[:3] = 0.0
-        b = a + width
-        center = rng.uniform(a - width, b + width)
-        radius = np.where(rng.random(m) < 0.3, 0.3 * width, 0.0)
-        x, fx = _golden_max(plateau(center, radius), a, b)
+    def test_roots_ends_and_batch_equal_each_alone(self):
+        rng = np.random.default_rng(12)
+        m = 40
+        c = rng.uniform(-12.0, 12.0, m)
+        lo, hi = np.full(m, -10.0), np.full(m, 10.0)
+        start = rng.uniform(-10.0, 10.0, m)
+        x = _decreasing_root(self.arctan_slope(c), lo, hi, start)
         for i in range(m):
+            if c[i] <= -10.0:
+                assert x[i] == -10.0
+            elif c[i] >= 10.0:
+                assert x[i] == 10.0
+            else:
+                assert abs(x[i] - c[i]) <= 1e-14 * max(1.0, abs(c[i]))
             one = slice(i, i + 1)
-            xi, fi = _golden_max(plateau(center[one], radius[one]), a[one], b[one])
-            assert (x[i].hex(), fx[i].hex()) == (xi[0].hex(), fi[0].hex())
-            f = plateau(float(center[i]), float(radius[i]))
-            xs, fs = golden_max_one(lambda t: float(f(t)), float(a[i]), float(b[i]))
-            assert (x[i].hex(), fx[i].hex()) == (xs.hex(), fs.hex())
+            alone = _decreasing_root(self.arctan_slope(c[one]), lo[one], hi[one], start[one])
+            assert x[i].hex() == alone[0].hex()
 
-    def test_ties_prefer_left_end_then_left_part(self):
-        a, b = np.array([2.0, 0.0]), np.array([3.0, 1.0])
-        center, radius = np.array([2.5, 0.5]), np.array([1.0, 0.25])
-        x, fx = _golden_max(plateau(center, radius), a, b)
-        # flat everywhere: the left end itself
-        assert x[0] == 2.0 and fx[0] == 0.0
-        # flat on [0.25, 0.75]: equal probes keep the left part, so the
-        # search closes on the plateau's left edge
-        assert abs(x[1] - 0.25) <= 1e-9 and fx[1] == 0.0
+    def test_flat_slope_stops_at_its_rounding_noise(self):
+        # Near the root of er-bsc's slope at eps = 0.45, rounding noise moves
+        # Newton by about 1e-13, more than the 1e-14 step tolerance.
+        eps = 0.45
+        rates = np.linspace(critical_rate(eps), h2(eps), 200)
+        slope = _tilt_slope(_tilt_terms(bsc_joint(eps)), rates)
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return slope(theta)
+
+        half = np.full_like(rates, 0.5)
+        theta = _decreasing_root(counted, np.zeros_like(rates), np.ones_like(rates), half)
+        assert len(calls) - 2 <= 12
+        for t, r in zip(theta.tolist(), rates.tolist()):
+            assert abs(closed_forms.er_bsc_slope(t, r, eps)) <= 1e-13
+
+    def test_root_at_an_end_is_that_end(self):
+        # value 0 at lo means a root there, not a search
+        slope = lambda x: (-x, -np.ones_like(x))
+        got = _decreasing_root(slope, np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.5, -0.5]))
+        assert got.tolist() == [0.0, 0.0]
 
 
 class TestRenyiExponent:
@@ -129,7 +116,7 @@ class TestRenyiExponent:
     )
     def test_slope_at_zero_is_conditional_entropy(self, src):
         fd = (renyi_exponent(1e-6, src) - renyi_exponent(0.0, src)) / 1e-6
-        assert abs(fd - src.conditional_entropy_x_given_z()) <= 1e-5
+        assert abs(fd - closed_forms.conditional_entropy_x_given_z(src)) <= 1e-5
 
     @pytest.mark.parametrize("channel", ["bec:0.3", "bec:0.9", "bsc:0.11", "bsc:0.4"])
     @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0])
@@ -247,8 +234,34 @@ class TestExpurgationExponent:
         vals = [expurgation_exponent_bec(r, 0.5).value for r in grid(0.01, LN2, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("delta", [1e-6, 0.1, 0.5, 0.9])
+    def test_zero_rate_is_exact_half_flip(self, delta):
+        # rate 0 is p = 1/2 exactly, not a root found next to it
+        assert expurgation_exponent_bec(0.0, delta).value == -0.5 * math.log(delta)
+        assert expurgation_exponent_min_form(0.0, delta).p_star == 0.5
+
+    @pytest.mark.parametrize(
+        "rate, delta, tol",
+        [
+            # h(p) = ln 2 - rate puts p within sqrt(rate/2) of 1/2
+            (1e-12, 0.5, 1e-14),
+            (1e-8, 0.5, 1e-14),
+            (1e-4, 0.5, 1e-14),
+            # p near 1e-4, held by x = 1/2 - p to about 5e-13 relative
+            (0.692, 1e-9, 2e-12),
+        ],
+    )
+    def test_matches_decimal_oracle(self, rate, delta, tol):
+        value, theta = closed_forms.ex_decimal(rate, delta)
+        got = expurgation_exponent_bec(rate, delta)
+        assert abs(got.value - value) <= tol * value
+        assert abs(got.theta_star - theta) <= tol * theta
+
 
 class TestMinFormAndDuality:
+    """The library's stationarity solution against two oracles that maximize
+    by search: the tilt objective on u = 1/theta and the Lagrangian dual."""
+
     def test_full_rate_unconstrained_minimum(self):
         # at full rate the constraint is vacuous; stationarity gives
         # p = delta/(1+delta)
@@ -268,40 +281,46 @@ class TestMinFormAndDuality:
         with pytest.raises(ValueError):
             expurgation_exponent_min_form(LN2 + 1e-6, 0.5)
 
+    @staticmethod
+    def assert_forms_agree(r, delta, tol):
+        got = expurgation_exponent_bec(r, delta)
+        mn = expurgation_exponent_min_form(r, delta)
+        tilt, theta = closed_forms.ex_tilt(r, delta)
+        du = closed_forms.lagrangian_dual_max(r, delta)
+        # the min form's p is the tilt's stationary point
+        assert mn.value == got.value
+        t = delta ** (1.0 / got.theta_star)
+        assert abs(mn.p_star - t / (1.0 + t)) <= 1e-12
+        assert abs(got.value - tilt) <= tol
+        assert abs(got.value - du) <= tol
+        assert abs(got.theta_star - theta) <= 1e-4 * theta
+
     @pytest.mark.parametrize("delta", [0.25, 0.5, 0.75])
     def test_three_forms_agree(self, delta):
         for r in grid(0.02, LN2 - 0.02, 15):
-            mx = expurgation_exponent_bec(r, delta).value
-            mn = expurgation_exponent_min_form(r, delta).value
-            du = lagrangian_dual_max(r, delta).value
-            assert abs(mx - mn) <= 1e-6
-            assert abs(mx - du) <= 1e-6
+            self.assert_forms_agree(r, delta, 1e-6)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.999, 1.0 - 1e-6])
     def test_three_forms_agree_toward_extreme_delta(self, delta):
-        # accuracy contract of expurgation_exponent_bec as delta -> 0 and -> 1
+        # accuracy of expurgation_exponent_bec as delta -> 0 and -> 1
         for r in grid(0.02, LN2 - 0.02, 40):
-            mx = expurgation_exponent_bec(r, delta).value
-            mn = expurgation_exponent_min_form(r, delta).value
-            du = lagrangian_dual_max(r, delta).value
-            assert abs(mx - mn) <= 1e-10
-            assert abs(mx - du) <= 1e-10
+            self.assert_forms_agree(r, delta, 1e-10)
 
     def test_dual_at_zero_multiplier_is_unit_tilt_objective(self):
         r, delta = 0.2, 0.5
-        got = lagrangian_dual(0.0, r, delta)
+        got = closed_forms.lagrangian_dual(0.0, r, delta)
         assert abs(got - (LN2 - r - math.log(1 + delta))) <= 1e-12
 
     def test_dual_concave_in_multiplier(self):
         r, delta = 0.2, 0.5
         lams = grid(0.0, 6.0, 30)
-        vals = [lagrangian_dual(l, r, delta) for l in lams]
+        vals = [closed_forms.lagrangian_dual(l, r, delta) for l in lams]
         for a, b, c in zip(vals, vals[1:], vals[2:]):
             assert b >= (a + c) / 2 - 1e-9
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            lagrangian_dual(-0.5, 0.2, 0.5)
+            closed_forms.lagrangian_dual(-0.5, 0.2, 0.5)
 
 
 class TestReductionExponent:
@@ -406,9 +425,7 @@ class TestCurve:
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
     def test_er_bec_tilt_near_closed_form_maximizer(self, eps):
-        # theta* = log2(eps (ln 2 - R) / (R (1 - eps))) clipped to [0, 1]. The
-        # search stops at a 1e-10 interval, but the objective is flat at its
-        # optimum, so the reported tilt is only good to about 1e-6.
+        # theta* = log2(eps (ln 2 - R) / (R (1 - eps))) clipped to [0, 1]
         for p in curve("er-bec", eps, 0.0, LN2, 200).points:
             r = p.r_nats
             if r == 0.0:
@@ -417,7 +434,17 @@ class TestCurve:
                 expect = 0.0
             else:
                 expect = min(1.0, max(0.0, math.log2(eps * (LN2 - r) / (r * (1.0 - eps)))))
-            assert abs(p.theta_star - expect) <= 1e-6
+            assert abs(p.theta_star - expect) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.01, 0.11, 0.25, 0.4])
+    def test_er_bsc_tilt_is_stationary(self, eps):
+        interior = [
+            p for p in curve("er-bsc", eps, 0.0, LN2, 200).points
+            if 0.0 < p.theta_star < 1.0
+        ]
+        assert len(interior) >= 10
+        for p in interior:
+            assert abs(closed_forms.er_bsc_slope(p.theta_star, p.r_nats, eps)) <= 1e-13
 
     @pytest.mark.parametrize(
         "kind, param, src, scalar",

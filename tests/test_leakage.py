@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from leakexp import leakage
-from leakexp.channels import bec_joint, bsc_joint, less_noisy_erasure_param
+from leakexp.channels import bec_joint, bsc_joint
 from leakexp.errors import InvariantViolationError, SizeLimitError
 from leakexp.gf2 import BinMatrix, parse_matrix, random_matrix, rank
 from leakexp.leakage import (
     LeakageReport,
     PmlResult,
     best_matrix_search,
-    brute_force_leakage,
     exact_leakage_bec,
     exact_leakage_bsc,
     mc_p_ml_erasure,
@@ -29,7 +28,9 @@ from leakexp.leakage import (
     verify_leakage_bound,
 )
 
-from column_sets import IndexSet, per_sample_errors, submatrix_cols
+from brute_force import brute_force_leakage
+from closed_forms import less_noisy_erasure_param
+from column_sets import IndexSet, identity, per_sample_errors, submatrix_cols
 
 LN2 = math.log(2.0)
 
@@ -137,7 +138,7 @@ class TestBruteForceGate:
         # eavesdropper sees the bit itself unless erased
 
     def test_identity_two_bits(self):
-        m = BinMatrix.identity(2)
+        m = identity(2)
         assert abs(exact_leakage_bec(m, 0.5).leakage_nats - LN2) <= 1e-15
 
     def test_bsc_single_parity_closed_form(self):

@@ -25,7 +25,7 @@ from leakexp.leakage import (
     _subset_sum_profile,
 )
 
-from column_sets import IndexSet, from_columns, submatrix_cols
+from column_sets import IndexSet, from_columns, identity, submatrix_cols
 
 
 def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
@@ -53,7 +53,7 @@ def matrices(draw) -> BinMatrix:
 @example(BinMatrix(0, 0, ()))
 @example(BinMatrix(0, 5, ()))
 @example(BinMatrix(3, 0, (0, 0, 0)))
-@example(BinMatrix.identity(6))
+@example(identity(6))
 @example(BinMatrix(4, 7, (0,) * 4))
 @example(from_columns(5, [3, 3, 0, 5, 6, 3, 0, 5]))
 @example(BinMatrix.from_rows(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))))
