@@ -13,8 +13,10 @@ ln 2 - R - h(p) with p = t/(1+t) and t = delta^(1/theta), so they are solved on
 x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta).
 
 The root-finder takes Newton steps inside a sign bracket, bisecting where a
-step would leave it; each rate stops on its own once its step is below 1e-14,
-and a slope that keeps one sign over the range returns that end exactly.
+step would leave it. Each rate stops once its slope is at its rounding floor,
+2^-51 of the terms it subtracts (the rate and the tilted mean, or the rate
+and ln 2 - h(p)), or its step is below 1e-14; a slope of one sign returns
+that end exactly.
 Values are raw (possibly negative); clamping to zero is an emission-time
 option on `curve`, never applied inside operations.
 """
@@ -50,10 +52,6 @@ __all__ = [
 LN2 = math.log(2.0)
 
 _STEP_TOL = 1e-14
-# Below this a Newton step's successor is about its square, so a step that
-# then fails to shrink is rounding noise in a flat slope (er-bsc at eps = 0.45
-# wanders by 1e-13), and the root is as good as the slope allows.
-_NOISE_STEP = 1e-7
 # A bound on the steps of any one root; the preset curves need at most 8.
 _MAX_STEPS = 100
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
@@ -77,7 +75,11 @@ class OptResult:
     `theta_star` is the tilt (math.inf marks a limit that is approached, not
     attained, flagged by form 'closed-limit'); `p_star` is set only by the
     flip-probability minimization form. An interior `theta_star` is a root of
-    the objective's slope, taken once a Newton step falls below 1e-14.
+    the objective's slope f' with |f'(theta_star)| at its rounding floor.
+    The expurgation tilt has a conditioning limit: a float rate resolves
+    ln 2 - R only to about 1e-16, so for delta below about 1e-16 it is set by
+    rounding at rates that close to ln 2 (bsc:0.499999999999 at R = LN2
+    gives 1 where 1.28 is exact; the value is right to 3e-17).
     """
 
     value: float
@@ -115,38 +117,37 @@ def _fmt(x: float) -> str:
 
 
 def _decreasing_root(
-    slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
     x: np.ndarray,
 ) -> np.ndarray:
     """Roots of m decreasing functions at once, problem i on [lo[i], hi[i]]
-    started at x[i]; `slope` maps m points to the m values and derivatives.
+    started at x[i]; `slope` maps m points to the m values, derivatives and
+    sizes (the summed magnitudes of the terms the value subtracts).
 
     A problem whose value is <= 0 at lo returns lo, one whose value is >= 0
     at hi returns hi. The others take Newton steps inside a bracket with a
     positive value at its left end and a negative one at its right; a step
-    that would leave the bracket bisects it instead. Each problem stops once
-    its own step is below _STEP_TOL, or no shorter than its previous step
-    when that was below _NOISE_STEP: the same steps and float arithmetic as
-    a solve of it alone.
+    that would leave the bracket bisects it instead. Each problem stops after
+    a step from a point whose |value| is within 2^-51 of its size, its
+    rounding floor, or a step below _STEP_TOL: the same steps and float
+    arithmetic as a solve of it alone.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         g_lo, g_hi = slope(lo)[0], slope(hi)[0]
         x = np.where(g_lo <= 0.0, lo, np.where(g_hi >= 0.0, hi, x))
         active = (g_lo > 0.0) & (g_hi < 0.0)
-        prev = np.full_like(x, np.inf)
         for _ in range(_MAX_STEPS):
             if not active.any():
                 break
-            g, dg = slope(x)
+            g, dg, size = slope(x)
             lo, hi = np.where(g > 0.0, x, lo), np.where(g < 0.0, x, hi)
             nx = x - g / dg
             nx = np.where((lo <= nx) & (nx <= hi), nx, 0.5 * (lo + hi))
             step = abs(nx - x)
             x = np.where(active, nx, x)
-            active &= (step > _STEP_TOL) & ((step < prev) | (prev >= _NOISE_STEP))
-            prev = step
+            active &= (step > _STEP_TOL) & (abs(g) > 2.0**-51 * size)
     return x
 
 
@@ -164,54 +165,41 @@ def _tilt_terms(src: JointSource) -> _Terms:
     return tuple((mass, ell) for ell, mass in merged.items())
 
 
-def _tilted_objective(
-    terms: _Terms, rate: np.ndarray | float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """theta -> -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate, elementwise
-    over arrays of tilts and rates; the one evaluator of the tilted source.
+def _tilt(terms: _Terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, mean, variance) of l under the tilt at each theta; the one evaluator
+    of the tilted source. S = sum m*expm1(theta*l) over `terms`, and the tilted
+    masses are m*e^(theta*l) over the normaliser 1 + S.
 
-    The sum is taken as log1p(sum m*expm1(theta*l)) over `terms`, exact because
+    The exponent -ln sum_{x,z} P(x,z) P(x|z)^theta is -log1p(S), exact because
     the cell masses sum to 1 (JointSource checks it to 1e-12). No l is
-    positive, so the sum has no cancellation and small theta keeps its
-    relative precision. Written 0.0 - x so that theta = 0 gives +0.0.
+    positive, so S has no cancellation and small theta keeps its relative
+    precision. Its slope in theta is minus the mean, its curvature minus the
+    variance.
     """
-
-    def objective(theta: np.ndarray) -> np.ndarray:
-        total = 0.0
-        for mass, ell in terms:
-            total += mass * np.expm1(theta * ell)
-        return 0.0 - np.log1p(total) - theta * rate
-
-    return objective
-
-
-def _tilt_slope(
-    terms: _Terms, rate: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """theta -> (slope, curvature) of _tilted_objective: minus the mean of l
-    under the tilt less the rate, and minus its variance. The tilted masses
-    are m*e^(theta*l) over the normaliser 1 + sum m*expm1(theta*l)."""
-
-    def slope(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        total = first = second = 0.0
-        for mass, ell in terms:
-            e = np.expm1(theta * ell)
-            w = mass + mass * e
-            total += mass * e
-            first += w * ell
-            second += w * ell * ell
-        norm = 1.0 + total
-        mean = first / norm
-        return -mean - rate, mean * mean - second / norm
-
-    return slope
+    total = first = second = 0.0
+    for mass, ell in terms:
+        me = mass * np.expm1(theta * ell)
+        wl = (mass + me) * ell
+        total += me
+        first += wl
+        second += wl * ell
+    norm = 1.0 + total
+    mean = first / norm
+    return total, mean, second / norm - mean * mean
 
 
 def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta*, value) of the random-coding exponent at each rate."""
+    """(theta*, value) of the random-coding exponent at each rate. The slope's
+    size is rate - mean, as no l is positive; the value is written 0.0 - x so
+    that theta = 0 gives +0.0."""
+
+    def slope(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        _, mean, var = _tilt(terms, theta)
+        return -mean - rates, -var, rates - mean
+
     lo, hi = np.zeros_like(rates), np.ones_like(rates)
-    theta = _decreasing_root(_tilt_slope(terms, rates), lo, hi, np.full_like(rates, 0.5))
-    return theta, _tilted_objective(terms, rates)(theta)
+    theta = _decreasing_root(slope, lo, hi, np.full_like(rates, 0.5))
+    return theta, 0.0 - np.log1p(_tilt(terms, theta)[0]) - theta * rates
 
 
 def renyi_exponent(theta: float, src: JointSource) -> float:
@@ -222,7 +210,8 @@ def renyi_exponent(theta: float, src: JointSource) -> float:
     """
     if theta < 0.0:
         raise ValueError("theta must be >= 0")
-    return float(_tilted_objective(_tilt_terms(src), 0.0)(np.array([theta]))[0])
+    total = _tilt(_tilt_terms(src), np.array([theta]))[0]
+    return float((0.0 - np.log1p(total))[0])
 
 
 def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
@@ -256,9 +245,9 @@ def _check_delta(delta: float) -> None:
 
 def _divergence_slope(
     rate: np.ndarray,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """x -> (rate - D(x), -D'(x)) for D(x) = ln 2 - h(1/2 - x), with y = 2x and
-    D'(x) = 2*atanh(y) = log1p(y) - log1p(-y).
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """x -> (rate - D(x), -D'(x), rate + D(x)) for D(x) = ln 2 - h(1/2 - x),
+    with y = 2x and D'(x) = 2*atanh(y) = log1p(y) - log1p(-y).
 
     D is y*atanh(y) + log1p(-y^2)/2 below y = 1/2, which loses no digits as
     x -> 0, and ((1+y)*log1p(y) + (1-y)*log1p(-y))/2 above, which loses none as
@@ -269,7 +258,8 @@ def _divergence_slope(
         up, down = np.log1p(y), np.log1p(-y)
         low = 0.5 * (y * (up - down) + np.log1p(-y * y))
         high = 0.5 * ((1.0 + y) * up + (1.0 - y) * down)
-        return rate - np.where(y < 0.5, low, high), down - up
+        d = np.where(y < 0.5, low, high)
+        return rate - d, down - up, rate + d
 
     return slope
 

@@ -208,7 +208,7 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
     # No count a[S] exceeds 2^r, so none overflows this lane type.
     lane = np.dtype(np.min_scalar_type(1 << r)).newbyteorder("<")
     a = np.zeros(max(1 << n, 8 // lane.itemsize), dtype=lane)
-    a[_xor_span(basis, np.uint32)] = 1
+    a[_xor_span(basis)] = 1
     _subset_sum(a, n)
     # Histogram chunk by chunk (a chunk starts at a multiple of its length),
     # per popcount of the high bits of S, keyed popcount(low bits) * 32 +
@@ -250,9 +250,11 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     return PmlResult(value=min(total, 1.0), method="exact-enumeration")
 
 
-def _wilson_halfwidth(value: float, samples: int, z: float = 1.96) -> float:
-    """Larger distance from `value` to an end of its Wilson score interval;
-    unlike the normal approximation it stays positive at 0 and 1 errors."""
+def _wilson_halfwidth(value: float, samples: int) -> float:
+    """Larger distance from `value` to an end of its 1.96-sigma (95%) Wilson
+    score interval; unlike the normal approximation it stays positive at 0
+    and 1 errors."""
+    z = 1.96
     z2n = z * z / samples
     center = (value + z2n / 2.0) / (1.0 + z2n)
     spread = value * (1.0 - value) / samples + z2n / (4.0 * samples)
@@ -354,9 +356,10 @@ def _row_basis(m: BinMatrix) -> list[int]:
     return list(pivots.values())
 
 
-def _xor_span(values: list[int], dtype) -> np.ndarray:
-    """Entry u is the XOR of values[j] over the set bits j of u."""
-    out = np.zeros(1 << len(values), dtype=dtype)
+def _xor_span(values: list[int]) -> np.ndarray:
+    """Entry u is the XOR of values[j] over the set bits j of u, as uint32:
+    under the n <= 26 cap every codeword fits in 32 bits."""
+    out = np.zeros(1 << len(values), dtype=np.uint32)
     for i, v in enumerate(values):
         np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
     return out
@@ -397,7 +400,7 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
     _check_prob("eps", eps)
     basis = _row_basis(m)
     r = len(basis)
-    weights = np.bitwise_count(_xor_span(basis, np.uint32))
+    weights = np.bitwise_count(_xor_span(basis))
     e = np.array(_pow_table(1.0 - 2.0 * eps, m.cols))[weights]
     e[0] = 0.0
     _walsh_hadamard(e)
@@ -452,17 +455,14 @@ def best_matrix_search(
         raise ValueError(f"channel must be 'bec' or 'bsc', got {channel!r}")
     check_enum_cols(n)
     evaluate = exact_leakage_bec if channel == "bec" else exact_leakage_bsc
-    best_full: tuple[float, BinMatrix, LeakageReport] | None = None
-    best_any: tuple[float, BinMatrix, LeakageReport] | None = None
-    for s in trial_seeds(seed, trials):
+
+    def trial(s: int) -> tuple[BinMatrix, LeakageReport]:
         cand = random_matrix(k, n, s)
-        report = evaluate(cand, eps)
-        entry = (report.leakage_nats, cand, report)
-        if best_any is None or entry[0] < best_any[0]:
-            best_any = entry
-        full = report.hash_entropy_nats == k * LN2  # rank(cand) == k
-        if full and (best_full is None or entry[0] < best_full[0]):
-            best_full = entry
-    chosen = best_full if best_full is not None else best_any
-    assert chosen is not None
-    return chosen[1], chosen[2]
+        return cand, evaluate(cand, eps)
+
+    # rank(cand) == k exactly when its hash entropy is k ln 2; min keeps the
+    # first of equal keys.
+    return min(
+        map(trial, trial_seeds(seed, trials)),
+        key=lambda t: (t[1].hash_entropy_nats != k * LN2, t[1].leakage_nats),
+    )

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import closed_forms
+from leakexp import exponents
 from leakexp.channels import bec_joint, bsc_joint, parse_channel
 from leakexp.errors import DegenerateParameterError
 from leakexp.exponents import (
     _decreasing_root,
-    _tilt_slope,
     _tilt_terms,
     critical_rate,
     curve,
@@ -51,7 +51,7 @@ class TestDecreasingRoot:
     def arctan_slope(c):
         # Newton from far off overshoots arctan's flat tails, so these
         # problems also take the bisection fallback.
-        return lambda x: (np.arctan(c - x), -1.0 / (1.0 + (c - x) ** 2))
+        return lambda x: (np.arctan(c - x), -1.0 / (1.0 + (c - x) ** 2), abs(c) + abs(x))
 
     def test_roots_ends_and_batch_equal_each_alone(self):
         rng = np.random.default_rng(12)
@@ -71,27 +71,46 @@ class TestDecreasingRoot:
             alone = _decreasing_root(self.arctan_slope(c[one]), lo[one], hi[one], start[one])
             assert x[i].hex() == alone[0].hex()
 
-    def test_flat_slope_stops_at_its_rounding_noise(self):
+    @staticmethod
+    def counted_er_bsc(monkeypatch, eps, rates):
+        """er-bsc's tilts at `rates`, solved through the library's own slope,
+        and the number of slope evaluations the batch took."""
+        calls = []
+
+        def counted(slope, lo, hi, x):
+            return _decreasing_root(lambda t: calls.append(t) or slope(t), lo, hi, x)
+
+        monkeypatch.setattr(exponents, "_decreasing_root", counted)
+        theta, _ = exponents._max_tilt(_tilt_terms(bsc_joint(eps)), rates)
+        return theta, len(calls)
+
+    def test_flat_slope_stops_at_its_rounding_noise(self, monkeypatch):
         # Near the root of er-bsc's slope at eps = 0.45, rounding noise moves
         # Newton by about 1e-13, more than the 1e-14 step tolerance.
         eps = 0.45
         rates = np.linspace(critical_rate(eps), h2(eps), 200)
-        slope = _tilt_slope(_tilt_terms(bsc_joint(eps)), rates)
-        calls = []
-
-        def counted(theta):
-            calls.append(theta)
-            return slope(theta)
-
-        half = np.full_like(rates, 0.5)
-        theta = _decreasing_root(counted, np.zeros_like(rates), np.ones_like(rates), half)
-        assert len(calls) - 2 <= 12
+        theta, calls = self.counted_er_bsc(monkeypatch, eps, rates)
+        assert calls - 2 <= 12
         for t, r in zip(theta.tolist(), rates.tolist()):
             assert abs(closed_forms.er_bsc_slope(t, r, eps)) <= 1e-13
 
+    @pytest.mark.parametrize("eps", [0.49999, 0.4999999])
+    def test_nearly_flat_slope_stops_at_its_rounding_floor(self, monkeypatch, eps):
+        # The tilted variance, Newton's curvature, is 1e-10 or less here, so
+        # a stop rule on step lengths alone reads rounding noise as progress.
+        rates = np.linspace(critical_rate(eps), h2(eps), 5001)
+        theta, calls = self.counted_er_bsc(monkeypatch, eps, rates)
+        assert calls <= 12
+        interior = (theta > 0.0) & (theta < 1.0)
+        assert interior.sum() > 4900
+        for t, r in zip(theta[interior].tolist(), rates[interior].tolist()):
+            # The stated floor, 2^-51 of |mean| + rate, with |mean| = rate at
+            # the root.
+            assert abs(closed_forms.er_bsc_slope(t, r, eps)) <= 2.0**-51 * 2 * r
+
     def test_root_at_an_end_is_that_end(self):
         # value 0 at lo means a root there, not a search
-        slope = lambda x: (-x, -np.ones_like(x))
+        slope = lambda x: (-x, -np.ones_like(x), abs(x))
         got = _decreasing_root(slope, np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.5, -0.5]))
         assert got.tolist() == [0.0, 0.0]
 

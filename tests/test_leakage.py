@@ -342,6 +342,34 @@ class TestBestMatrixSearch:
         assert rank(best) == k
         assert abs(report.leakage_nats - min(full)) <= 1e-15
 
+    @staticmethod
+    def draw_in_order(monkeypatch, rows):
+        # Trial i draws the i-th matrix of `rows`, whatever its seed.
+        drawn = iter([BinMatrix.from_rows(r) for r in rows])
+        monkeypatch.setattr(leakage, "random_matrix", lambda k, n, seed: next(drawn))
+
+    def test_ties_keep_the_first_trial(self, monkeypatch):
+        # Weight-2 parities leak ln 2 (1 - eps)^2 whatever their support; the
+        # weight-1 one leaks more.
+        rows = [[[1, 0, 0]], [[1, 1, 0]], [[0, 1, 1]], [[1, 0, 1]]]
+        self.draw_in_order(monkeypatch, rows)
+        best, report = best_matrix_search(1, 3, 0.5, len(rows), 0)
+        assert best == BinMatrix.from_rows(rows[1])
+        assert report.leakage_nats == exact_leakage_bec(best, 0.5).leakage_nats
+
+    def test_without_full_rank_falls_back_to_the_least_leakage(self, monkeypatch):
+        # Every trial has rank 1; the weight-3 parity leaks least.
+        rows = [
+            [[1, 1, 0], [1, 1, 0]],
+            [[1, 1, 1], [0, 0, 0]],
+            [[1, 0, 0], [0, 0, 0]],
+        ]
+        self.draw_in_order(monkeypatch, rows)
+        best, report = best_matrix_search(2, 3, 0.5, len(rows), 0)
+        assert best == BinMatrix.from_rows(rows[1])
+        assert report.hash_entropy_nats == LN2
+        assert abs(report.leakage_nats - LN2 * 0.5**3) <= 1e-15
+
     def test_deterministic(self):
         a = best_matrix_search(2, 6, 0.4, 10, 3)
         b = best_matrix_search(2, 6, 0.4, 10, 3)
