@@ -103,10 +103,8 @@ def random_matrix(k: int, n: int, seed: int) -> BinMatrix:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
     ent = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-    packed = tuple(
-        sum(int(ent[i, j]) << j for j in range(n)) for i in range(k)
-    )
-    return BinMatrix(k, n, packed)
+    rows = np.packbits(ent, axis=1, bitorder="little")
+    return BinMatrix(k, n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
 
 def parse_matrix(text: str) -> BinMatrix:

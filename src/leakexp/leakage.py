@@ -3,11 +3,13 @@
 The secret is S = X @ M^T for a uniform n-bit string X observed by the
 eavesdropper through a memoryless channel. Both channels see M through the
 2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
-column-subset ranks of M, aggregated once per matrix into a profile counting
-subsets by (size, rank): for k <= 3 rows by a DP over the distinct column
-values whose states are the at most 16 subspaces of F_2^k, at a cost
-independent of 2^n; above that by a subset-sum transform over the codeword
-supports, O(n 2^n) additions done 2 to 8 counts at a time in 64-bit words.
+the ranks of random column subsets of M. For k <= 3 rows each query takes
+the law of that rank in floats, by a DP over the distinct column values
+whose states are the at most 16 subspaces of F_2^k: O(#values * 16) float
+operations, nothing built or cached per matrix, and 1e-13 relative
+precision. Above that a profile counting the subsets by (size, rank) is
+built once per matrix by a subset-sum transform over the codeword supports,
+O(n 2^n) additions done 2 to 8 counts at a time in 64-bit words.
 Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
 transform, O(r 2^r).
 The Monte Carlo decoding error decides a chunk of samples at once, by k pivot
@@ -25,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolationError, SizeLimitError
-# bench/spans.py wraps leakage.rank, so the name stays importable here.
+# No exact path calls rank (the span law and the transform find ranks
+# themselves), but bench/spans.py wraps leakage.rank, so the name stays here.
 from .gf2 import BinMatrix, insert_reduced, random_matrix, rank  # noqa: F401
 
 __all__ = [
@@ -48,11 +51,12 @@ _SLACK_FLOOR = -1e-9
 _MC_CHUNK_ENTRIES = 1 << 21
 # Entries, or 64-bit words, of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
-# Up to this many rows the column-value DP builds the profile, above it the
-# subset-sum transform. Median single builds, DP/transform, on random matrices
-# (2-vCPU VM, numpy 2.4): 2x24 0.24/115 ms, 3x26 1.0/515, 4x12 1.1/0.18, 6x12
-# 8.5/0.21. Past k = 3 the DP wins from n = 19 at k = 4 (4x24 4.1/105 ms), from
-# n = 22 at k = 5, and not up to n = 24 at k = 6 (6x24 131/93 ms).
+# Up to this many rows each erasure query takes the span law, above it the
+# rank profile that the subset-sum transform builds once per matrix. Medians on
+# random matrices (2-vCPU VM, numpy 2.4): one law takes 0.03-0.04 ms at 2x16 to
+# 2x24 and 0.15 ms at 3x26. Past k = 3 its states are the 67, 374 and 2825
+# subspaces of F_2^k; law/transform 4x12 0.48/0.24 ms, 4x24 0.98/104, 5x24
+# 7.3/82, 6x20 29/5.9.
 _VALUE_DP_MAX_ROWS = 3
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
@@ -133,33 +137,36 @@ def _erasure_fold(weights: list[int], a: float, b: float) -> float:
     return total
 
 
-def _column_value_profile(m: BinMatrix) -> list[list[int]]:
-    """Count column subsets by (size, rank) by a DP over the distinct column values.
+def _span_law(m: BinMatrix, out: float) -> list[float]:
+    """law[d]: the chance that a random set of the columns of `m` spans d
+    dimensions, each column staying out of the set independently with
+    probability `out`.
 
-    Per span of the columns chosen so far, keyed as the set of its vectors (bit
-    x for vector x, so the rank is log2 of its size), the scan keeps subset
-    counts by size. Taking t >= 1 of the c copies of a value v (C(c, t) ways)
-    adds v to the span. F_2^k has at most 16 subspaces for k <= 3: O(#values *
-    16 * n^2) big-int work, whatever 2^n is.
+    A DP over the distinct column values. Per span of the values taken so far,
+    keyed as the set of its vectors (bit x for vector x, so the rank is log2
+    of its size), it carries the span's probability. A value v with c copies
+    joins unless all c stay out, which has probability out^c. F_2^k has at
+    most 16 subspaces for k <= 3: O(#values * 16) float operations, whatever
+    2^n is. Each probability is a sum of products of nonnegative factors.
+    Only 1 - out^c can lose relative precision, when out^c is near 1, but the
+    same product with v left out, no higher in rank, then outweighs it; so
+    sums weighted by a rank deficit or by rank < k keep theirs.
     """
-    n, k = m.cols, m.rows
-    states: dict[int, list[int]] = {1: [1]}  # the span {0} of the empty set
+    k = m.rows
+    states = {1: 1.0}  # the span {0} of the empty set
     for v, c in Counter(m.column_ints()).items():
-        ways = [math.comb(c, t) for t in range(c + 1)]
-        nxt: dict[int, list[int]] = {}
-        for span, counts in states.items():
+        p_out = out**c
+        p_in = 1.0 - p_out
+        nxt: dict[int, float] = {}
+        for span, p in states.items():
             grown = span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
-            for key, taken in ((span, range(1)), (grown, range(1, c + 1))):
-                out = nxt.setdefault(key, [0] * (len(counts) + c))
-                for s, a in enumerate(counts):
-                    for t in taken:
-                        out[s + t] += a * ways[t]
+            nxt[span] = nxt.get(span, 0.0) + p * p_out
+            nxt[grown] = nxt.get(grown, 0.0) + p * p_in
         states = nxt
-    profile = [[0] * (k + 1) for _ in range(n + 1)]
-    for span, counts in states.items():
-        for s, a in enumerate(counts):
-            profile[s][span.bit_count().bit_length() - 1] += a
-    return profile
+    law = [0.0] * (k + 1)
+    for span, p in states.items():
+        law[span.bit_count().bit_length() - 1] += p
+    return law
 
 
 def _subset_sum(a: np.ndarray, n: int) -> None:
@@ -231,8 +238,7 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
 @lru_cache(maxsize=128)
 def _rank_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     """profile[s][r]: the number of s-column subsets J with rank(M_J) = r."""
-    build = _column_value_profile if m.rows <= _VALUE_DP_MAX_ROWS else _subset_sum_profile
-    return tuple(tuple(row) for row in build(m))
+    return tuple(tuple(row) for row in _subset_sum_profile(m))
 
 
 def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
@@ -245,8 +251,11 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     check_enum_cols(m.cols)
     _check_prob("delta", delta)
     k = m.rows
-    errors = [sum(row[:k]) for row in _rank_profile(m)]
-    total = _erasure_fold(errors, 1.0 - delta, delta)
+    if k <= _VALUE_DP_MAX_ROWS:
+        total = math.fsum(_span_law(m, delta)[:k])
+    else:
+        errors = [sum(row[:k]) for row in _rank_profile(m)]
+        total = _erasure_fold(errors, 1.0 - delta, delta)
     return PmlResult(value=min(total, 1.0), method="exact-enumeration")
 
 
@@ -335,12 +344,20 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     """
     check_enum_cols(m.cols)
     _check_prob("eps", eps)
-    n = m.cols
-    profile = _rank_profile(m)
-    rnk = profile[n].index(1)  # the one n-column subset has rank rank(M)
-    deficits = [sum((rnk - r) * c for r, c in enumerate(row)) for row in profile]
-    leakage = LN2 * _erasure_fold(deficits, eps, 1.0 - eps)
-    bound = n * p_ml_erasure(m, 1.0 - eps).value
+    n, k = m.cols, m.rows
+    if k <= _VALUE_DP_MAX_ROWS:
+        # The erased columns at eps have the law of the kept ones at delta =
+        # 1 - eps: one law gives both, the bound as p_ml_erasure(m, 1 - eps).
+        rnk = len(_row_basis(m))
+        law = _span_law(m, 1.0 - eps)
+        leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
+        bound = n * min(math.fsum(law[:k]), 1.0)
+    else:
+        profile = _rank_profile(m)
+        rnk = profile[n].index(1)  # the one n-column subset has rank rank(M)
+        deficits = [sum((rnk - r) * c for r, c in enumerate(row)) for row in profile]
+        leakage = LN2 * _erasure_fold(deficits, eps, 1.0 - eps)
+        bound = n * p_ml_erasure(m, 1.0 - eps).value
     return LeakageReport(
         leakage_nats=leakage,
         hash_entropy_nats=rnk * LN2,

@@ -1,8 +1,11 @@
-"""Oracles' helpers for the tests: column subsets of a GF(2) matrix, matrices
-built from their columns or as identities, rows and text of a matrix, and
-Monte Carlo errors decided sample by sample."""
+"""Oracles' helpers for the tests: column subsets of a GF(2) matrix, their
+(size, rank) counts by a DP over the column values, matrices built from their
+columns or as identities, rows and text of a matrix, and Monte Carlo errors
+decided sample by sample."""
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,6 +53,35 @@ def submatrix_cols(m: BinMatrix, j: IndexSet) -> BinMatrix:
             v |= ((b >> (col - 1)) & 1) << t
         packed.append(v)
     return BinMatrix(m.rows, len(sel), tuple(packed))
+
+
+def column_value_profile(m: BinMatrix) -> list[list[int]]:
+    """Count column subsets by (size, rank) by a DP over the distinct column values.
+
+    Per span of the columns chosen so far, keyed as the set of its vectors (bit
+    x for vector x, so the rank is log2 of its size), the scan keeps subset
+    counts by size. Taking t >= 1 of the c copies of a value v (C(c, t) ways)
+    adds v to the span. Exact integers, O(#values * #spans * n^2) big-int
+    work whatever 2^n is; F_2^k has at most 16 subspaces for k <= 3.
+    """
+    n, k = m.cols, m.rows
+    states: dict[int, list[int]] = {1: [1]}  # the span {0} of the empty set
+    for v, c in Counter(m.column_ints()).items():
+        ways = [math.comb(c, t) for t in range(c + 1)]
+        nxt: dict[int, list[int]] = {}
+        for span, counts in states.items():
+            grown = span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
+            for key, taken in ((span, range(1)), (grown, range(1, c + 1))):
+                out = nxt.setdefault(key, [0] * (len(counts) + c))
+                for s, a in enumerate(counts):
+                    for t in taken:
+                        out[s + t] += a * ways[t]
+        states = nxt
+    profile = [[0] * (k + 1) for _ in range(n + 1)]
+    for span, counts in states.items():
+        for s, a in enumerate(counts):
+            profile[s][span.bit_count().bit_length() - 1] += a
+    return profile
 
 
 def from_columns(k: int, cols: list[int]) -> BinMatrix:

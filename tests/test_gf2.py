@@ -5,6 +5,7 @@ space directly, with no pivoting or packing shared with the implementation.
 The column-subset helpers the oracles of the other test modules use
 (tests/column_sets.py) are checked here too.
 """
+import numpy as np
 import pytest
 
 from leakexp.errors import InputParseError
@@ -149,6 +150,16 @@ class TestRandomMatrix:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="k <= n"):
             random_matrix(3, 2, 0)
+
+    @pytest.mark.parametrize("k, n", [
+        (k, n) for n in (0, 1, 7, 8, 9, 63, 64, 65, 130) for k in (0, 1, 3) if k <= n
+    ])
+    def test_rows_are_the_drawn_bits_in_column_order(self, k, n):
+        # The draws packed one entry at a time: bit j of row i is entry (i, j).
+        for seed in (0, 1, 2**62 + 5):
+            ent = np.random.default_rng(seed).integers(0, 2, size=(k, n), dtype=np.uint8)
+            rows = tuple(sum(int(ent[i, j]) << j for j in range(n)) for i in range(k))
+            assert random_matrix(k, n, seed).bits == rows
 
 
 class TestMatrixText:

@@ -3,12 +3,19 @@
 The two exact paths are gated on brute_force_leakage, which builds the full
 joint distribution of (hash output, observation word) with no rank shortcuts.
 Erasure decoding error is cross-checked against a direct per-pattern rank
-enumeration that shares nothing with the profile recursion.
+enumeration that shares nothing with the span law or the rank profile, and
+the span law against an exact rational fold of integer subset counts.
 """
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leakexp import leakage
 from leakexp.channels import bec_joint, bsc_joint
@@ -22,15 +29,23 @@ from leakexp.leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
-    _column_value_profile,
+    _erasure_fold,
     _rank_profile,
+    _span_law,
     _subset_sum_profile,
     verify_leakage_bound,
 )
 
 from brute_force import brute_force_leakage
 from closed_forms import less_noisy_erasure_param
-from column_sets import IndexSet, identity, per_sample_errors, submatrix_cols
+from column_sets import (
+    IndexSet,
+    column_value_profile,
+    from_columns,
+    identity,
+    per_sample_errors,
+    submatrix_cols,
+)
 
 LN2 = math.log(2.0)
 
@@ -319,12 +334,106 @@ class TestLessNoisyDomination:
 class TestRankProfileParallel:
     @pytest.mark.parametrize("seed", range(5))
     def test_partitioning_is_invisible(self, seed):
-        # k runs over 3, 4, 5: both sides of the split between the
-        # column-value DP (k <= 3) and the subset-sum transform (k >= 4).
+        # k runs over 3, 4, 5: rank profiles are built by the subset-sum
+        # transform alone, on both sides of the span law's k <= 3.
         m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
-        dp = tuple(map(tuple, _column_value_profile(m)))
+        dp = tuple(map(tuple, column_value_profile(m)))
         assert tuple(map(tuple, _subset_sum_profile(m))) == dp
         assert _rank_profile(m) == dp
+
+
+@st.composite
+def low_rate_matrices(draw) -> BinMatrix:
+    """Up to 3 rows and 26 columns; columns are drawn partly from a small pool,
+    so zero, repeated and rank-deficient columns are common."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 26))
+    column = st.integers(0, (1 << k) - 1)
+    pool = draw(st.lists(column, min_size=1, max_size=3))
+    cols = draw(st.lists(st.one_of(column, st.sampled_from(pool)), min_size=n, max_size=n))
+    return from_columns(k, cols)
+
+
+def fold_weights(m: BinMatrix) -> tuple[int, list[int], list[int]]:
+    """rank(M), and per subset size the summed rank deficits rank(M) - rank(M_J)
+    and the number of rank-deficient subsets, from exact integer counts."""
+    profile = column_value_profile(m)
+    rnk = profile[m.cols].index(1)
+    deficits = [sum((rnk - r) * c for r, c in enumerate(row)) for row in profile]
+    return rnk, deficits, [sum(row[:m.rows]) for row in profile]
+
+
+def exact_fold(weights: list[int], a: Fraction, b: Fraction) -> Fraction:
+    """sum_s a^s b^(n-s) weights[s] in exact rationals, n = len(weights) - 1."""
+    n = len(weights) - 1
+    return sum((a**s * b ** (n - s) * w for s, w in enumerate(weights)), Fraction(0))
+
+
+def close(got: float, want: float, rel: float) -> bool:
+    # Below 1e-290 a product of normal factors may have gone subnormal and
+    # lost its relative precision.
+    return abs(got - want) <= rel * abs(want) + 1e-290
+
+
+class TestSpanLaw:
+    """k <= 3 erasure queries fold one float law of the span per query."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(low_rate_matrices(), st.floats(0.0, 1.0))
+    @example(BinMatrix(1, 24, ((1 << 24) - 1,)), 0.8)
+    @example(from_columns(3, [0, 7, 7, 1, 0, 6] * 4), 1e-300)
+    @example(from_columns(2, [3] * 26), 1.0 - 2.0**-53)
+    def test_matches_exact_rational_fold(self, m, eps):
+        _, deficits, errors = fold_weights(m)
+        # The bound is n * P_ML at the float delta = 1 - eps that
+        # p_ml_erasure(m, 1 - eps) receives.
+        e, delta = Fraction(eps), Fraction(1.0 - eps)
+        leakage = LN2 * float(exact_fold(deficits, e, 1 - e))
+        bound = m.cols * min(float(exact_fold(errors, 1 - delta, delta)), 1.0)
+        rep = exact_leakage_bec(m, eps)
+        assert close(rep.leakage_nats, leakage, 1e-13)
+        assert close(rep.bound_nats, bound, 1e-13)
+        assert rep.bound_nats == m.cols * p_ml_erasure(m, 1.0 - eps).value
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(low_rate_matrices(), st.floats(0.0, 1.0))
+    def test_matches_the_profile_fold(self, m, eps):
+        # The fold k >= 4 takes, applied to the same subset counts.
+        rnk, deficits, errors = fold_weights(m)
+        rep = exact_leakage_bec(m, eps)
+        assert rep.hash_entropy_nats == rnk * LN2
+        assert close(rep.leakage_nats, LN2 * _erasure_fold(deficits, eps, 1.0 - eps), 1e-12)
+        delta = 1.0 - eps
+        pml = min(_erasure_fold(errors, 1.0 - delta, delta), 1.0)
+        assert close(p_ml_erasure(m, delta).value, pml, 1e-12)
+
+    @pytest.mark.parametrize("m", [
+        BinMatrix(0, 3, ()),
+        from_columns(1, [1, 0, 1]),
+        from_columns(2, [1, 2, 3, 0, 3]),
+        from_columns(3, [5, 5, 0]),  # rank 1 < k
+        from_columns(4, [1, 2, 4, 8, 15, 0]),  # the profile path
+    ])
+    def test_probabilities_at_zero_and_one(self, m):
+        n, k, rnk = m.cols, m.rows, rank(m)
+        deficient = float(rnk < k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nothing_erased = exact_leakage_bec(m, 0.0)
+            all_erased = exact_leakage_bec(m, 1.0)
+            assert p_ml_erasure(m, 0.0).value == deficient
+            assert p_ml_erasure(m, 1.0).value == float(k > 0)
+        assert nothing_erased.leakage_nats == nothing_erased.hash_entropy_nats == rnk * LN2
+        assert nothing_erased.bound_nats == n * float(k > 0)
+        assert all_erased.leakage_nats == 0.0
+        assert all_erased.bound_nats == n * deficient
+
+    def test_law_sums_to_one_over_the_dimensions(self):
+        m = from_columns(3, [1, 2, 2, 4, 3, 0, 7])
+        for out in (0.0, 1e-9, 0.3, 0.5, 0.999, 1.0):
+            law = _span_law(m, out)
+            assert len(law) == 4 and min(law) >= 0.0
+            assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBestMatrixSearch:

@@ -1,7 +1,8 @@
-"""The two rank-profile builders against each other and a per-mask oracle.
+"""The rank-profile builder against two oracles.
 
-The column-value DP and the subset-sum transform share no code; the oracle
-counts every column subset with gf2.rank on an explicit column submatrix.
+The subset-sum transform shares no code with the exact-integer column-value
+DP of column_sets or with the per-mask oracle, which counts every column
+subset with gf2.rank on an explicit column submatrix.
 The word-parallel subset-sum kernel is checked against the one-bit-per-pass
 loop, and the profiles that need more than one histogram chunk (n > 16) or a
 uint32 count table (rank >= 16) against closed forms and the DP.
@@ -18,14 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakexp.gf2 import BinMatrix, random_matrix, rank
-from leakexp.leakage import (
-    _column_value_profile,
-    _rank_profile,
-    _subset_sum,
-    _subset_sum_profile,
-)
+from leakexp.leakage import _rank_profile, _subset_sum, _subset_sum_profile
 
-from column_sets import IndexSet, from_columns, identity, submatrix_cols
+from column_sets import IndexSet, column_value_profile, from_columns, identity, submatrix_cols
 
 
 def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
@@ -63,7 +59,7 @@ def matrices(draw) -> BinMatrix:
 @example(from_columns(2, [0, 3, 3, 0, 3, 0, 0, 3, 3, 0, 0, 3]))
 @example(from_columns(3, [7, 0, 1, 2, 3, 4, 5, 6, 0, 1, 6, 7]))
 def test_builders_match_per_mask_ranks(m):
-    dp = tuple(map(tuple, _column_value_profile(m)))
+    dp = tuple(map(tuple, column_value_profile(m)))
     transform = tuple(map(tuple, _subset_sum_profile(m)))
     assert dp == transform
     assert dp == per_mask_profile(m)
@@ -74,9 +70,9 @@ def test_builders_match_per_mask_ranks(m):
 def test_column_order_is_invisible_at_26_columns(k):
     rng = random.Random(k)
     cols = [rng.randrange(1 << k) for _ in range(26)]
-    profile = _column_value_profile(from_columns(k, cols))
+    profile = column_value_profile(from_columns(k, cols))
     rng.shuffle(cols)
-    assert _column_value_profile(from_columns(k, cols)) == profile
+    assert column_value_profile(from_columns(k, cols)) == profile
     assert [sum(row) for row in profile] == [math.comb(26, s) for s in range(27)]
     assert profile[26] == [0] * k + [1]  # 26 random columns span F_2^k
 
@@ -128,4 +124,4 @@ def test_invertible_17x17_profile():
 @pytest.mark.parametrize("n", [17, 20])
 def test_four_row_profile_past_one_chunk_matches_dp(n):
     m = random_matrix(4, n, n)
-    assert _subset_sum_profile(m) == _column_value_profile(m)
+    assert _subset_sum_profile(m) == column_value_profile(m)
