@@ -1,7 +1,7 @@
-"""Oracles' helpers for the tests: column subsets of a GF(2) matrix, their
-(size, rank) counts by a DP over the column values, matrices built from their
-columns or as identities, rows and text of a matrix, and Monte Carlo errors
-decided sample by sample."""
+"""Oracles' helpers for the tests: column subsets of a GF(2) matrix, spans
+grown by a vector, (size, rank) counts by a DP over the column values,
+matrices built from their columns or as identities, rows and text of a
+matrix, and Monte Carlo errors decided sample by sample."""
 from __future__ import annotations
 
 import math
@@ -55,6 +55,12 @@ def submatrix_cols(m: BinMatrix, j: IndexSet) -> BinMatrix:
     return BinMatrix(m.rows, len(sel), tuple(packed))
 
 
+def translate(span: int, v: int, k: int) -> int:
+    """The span of a set of vectors in F_2^k, keyed as the set of its vectors
+    (bit x for vector x), with v added: its vectors and their translates by v."""
+    return span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
+
+
 def column_value_profile(m: BinMatrix) -> list[list[int]]:
     """Count column subsets by (size, rank) by a DP over the distinct column values.
 
@@ -70,7 +76,7 @@ def column_value_profile(m: BinMatrix) -> list[list[int]]:
         ways = [math.comb(c, t) for t in range(c + 1)]
         nxt: dict[int, list[int]] = {}
         for span, counts in states.items():
-            grown = span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
+            grown = translate(span, v, k)
             for key, taken in ((span, range(1)), (grown, range(1, c + 1))):
                 out = nxt.setdefault(key, [0] * (len(counts) + c))
                 for s, a in enumerate(counts):

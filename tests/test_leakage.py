@@ -30,6 +30,7 @@ from leakexp.leakage import (
     mc_p_ml_erasure,
     p_ml_erasure,
     _erasure_fold,
+    _grown,
     _rank_profile,
     _span_law,
     _subset_sum_profile,
@@ -45,6 +46,7 @@ from column_sets import (
     identity,
     per_sample_errors,
     submatrix_cols,
+    translate,
 )
 
 LN2 = math.log(2.0)
@@ -291,6 +293,16 @@ class TestMonteCarloPml:
         got = mc_p_ml_erasure(m, 0.85, 500, n)
         assert got.value == per_sample_errors(m, 0.85, 500, n) / 500
 
+    @pytest.mark.parametrize("k, n", [(3, 20), (5, 33), (8, 130)])
+    def test_block_size_is_invisible(self, monkeypatch, k, n):
+        # A budget of 20 words cuts each chunk into blocks of 6, 4 and 1
+        # samples (k times 1, 1 and 3 words per sample).
+        monkeypatch.setattr(leakage, "_MC_BLOCK_WORDS", 20)
+        m = random_matrix(k, n, 40 + n)
+        delta = 1.0 - (k + 1) / n
+        got = mc_p_ml_erasure(m, delta, 500, n)
+        assert got.value == per_sample_errors(m, delta, 500, n) / 500
+
 
 class TestLeakageBound:
     @pytest.mark.parametrize("seed", range(25))
@@ -427,6 +439,20 @@ class TestSpanLaw:
         assert nothing_erased.bound_nats == n * float(k > 0)
         assert all_erased.leakage_nats == 0.0
         assert all_erased.bound_nats == n * deficient
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_memoized_translate_matches_the_generator_rule(self, k):
+        # Every span of F_2^k, reached from {0} by adding vectors, with every v.
+        spans, todo = {1}, [1]
+        while todo:
+            span = todo.pop()
+            for v in range(1 << k):
+                grown = translate(span, v, k)
+                assert _grown(span, v, k) == grown
+                if grown not in spans:
+                    spans.add(grown)
+                    todo.append(grown)
+        assert len(spans) == (1, 2, 5, 16)[k]
 
     def test_law_sums_to_one_over_the_dimensions(self):
         m = from_columns(3, [1, 2, 2, 4, 3, 0, 7])

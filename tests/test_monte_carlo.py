@@ -17,7 +17,7 @@ def cases(draw):
     """Up to 140 columns and up to 10 rows (more than n when n is small);
     columns are drawn partly from a small pool, so zero and repeated
     columns are common."""
-    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 130]), st.integers(0, 140)))
+    n = draw(st.one_of(st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65, 130]), st.integers(0, 140)))
     k = draw(st.integers(0, min(n + 1, 10)))
     column = st.integers(0, (1 << k) - 1)
     pool = draw(st.lists(column, min_size=1, max_size=3))
@@ -42,6 +42,10 @@ def cases(draw):
 @example((random_matrix(4, 70, 10), 0.0, 50, 10))
 @example((random_matrix(4, 70, 11), 1.0, 50, 11))
 @example((from_columns(3, [1, 2, 4, 3, 5]), 0.3, (1 << 16) + 3, 12))  # two chunks
+# Row 0 is zero in its first word whenever column 3 is erased, and then takes
+# its pivot in a later word, where rows 1-3 also have bits.
+@example((BinMatrix(4, 200, (1 << 3 | 1 << 70 | 1 << 150, 1 << 70 | 1 << 150 | 1 << 199,
+                             1 << 3 | 1 << 150 | 1 << 199, 1 << 150 | 1 << 199)), 0.3, 400, 13))
 def test_error_count_equals_per_sample_oracle(case):
     m, delta, samples, seed = case
     got = mc_p_ml_erasure(m, delta, samples, seed)
