@@ -102,7 +102,7 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
 def _cmd_pml(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bec",))
     m = _read_matrix(args.matrix)
-    if args.samples > 0:
+    if args.samples != 0:
         res = mc_p_ml_erasure(m, spec.eps, args.samples, args.seed)
     else:
         res = p_ml_erasure(m, spec.eps)
@@ -212,14 +212,18 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     spec = _channel(args)
-    if not math.isfinite(args.rate):
-        raise InputParseError(f"--rate must be finite, got {args.rate}")
+    if not 0.0 <= args.rate < math.inf:
+        raise InputParseError(f"--rate must be finite and >= 0, got {args.rate}")
     try:
         sizes = [int(tok) for tok in args.n.split(",") if tok.strip() != ""]
     except ValueError:
         raise InputParseError(f"--n expects a comma list of integers, got {args.n!r}") from None
     if not sizes:
         raise InputParseError("--n list is empty")
+    if min(sizes) < 1:
+        raise InputParseError(f"--n block lengths must be >= 1, got {args.n!r}")
+    # Every size is checked before the first search draws a matrix.
+    check_enum_cols(max(sizes))
     lines = ["n,k,best_leakage_nats,minus_log_leakage_over_n"]
     for n in sizes:
         k = min(n, max(1, round(args.rate * n / LN2)))
@@ -254,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix file path, or - for stdin")
     p.add_argument("--channel", required=True, help="bec:<delta>, the erasure probability")
     p.add_argument("--samples", type=int, default=0,
-                   help="Monte Carlo sample count; 0 = exact enumeration")
+                   help="Monte Carlo sample count, at least 1; 0 (the default) "
+                   "takes exact enumeration")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_pml)

@@ -3,12 +3,13 @@
 The secret is S = X @ M^T for a uniform n-bit string X observed by the
 eavesdropper through a memoryless channel. Both channels see M through the
 2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
-the ranks of random column subsets of M. For k <= 3 rows each query takes
-the law of that rank in floats, by a DP over the distinct column values
-whose states are the at most 16 subspaces of F_2^k: O(#values * 16) float
-operations, nothing built or cached per matrix, and 1e-13 relative
-precision. Above that a profile counting the subsets by (size, rank) is
-built once per matrix by a subset-sum transform over the codeword supports,
+the ranks of random column subsets of M: each query takes the law of that
+rank once, in floats, and reads both leakage and decoding error from it, to
+1e-13 relative precision. For k <= 3 rows the law comes from a DP over the
+distinct column values whose states are the at most 16 subspaces of F_2^k:
+O(#values * 16) float operations, nothing built or cached per matrix. Above
+that it weights a profile counting the subsets by (rank, size), which a
+subset-sum transform over the codeword supports builds once per matrix,
 O(n 2^n) additions done 2 to 8 counts at a time in 64-bit words.
 Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
 transform, O(r 2^r).
@@ -21,6 +22,7 @@ Limits: n <= 26 for the exact paths, none for Monte Carlo.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,18 +135,6 @@ def _pow_table(x: float, n: int) -> list[float]:
     return out
 
 
-def _erasure_fold(weights: list[int], a: float, b: float) -> float:
-    """sum_s a^s * b^(n-s) * weights[s] over s = 0..n, n = len(weights) - 1."""
-    n = len(weights) - 1
-    a_pows = _pow_table(a, n)
-    b_pows = _pow_table(b, n)
-    total = 0.0
-    for s, w in enumerate(weights):
-        if w:
-            total += a_pows[s] * b_pows[n - s] * w
-    return total
-
-
 @lru_cache(maxsize=256)
 def _grown(span: int, v: int, k: int) -> int:
     """The span of a set of vectors in F_2^k (bit x for vector x) with v added:
@@ -212,8 +202,10 @@ def _subset_sum(a: np.ndarray, n: int) -> None:
             v[:, 1, j] += v[:, 0, j]
 
 
-def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
-    """Count column subsets by (size, rank) from the supports of the codewords.
+@lru_cache(maxsize=128)
+def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
+    """profile[d][s]: the number of s-column subsets J with rank(M_J) = d,
+    counted from the supports of the codewords.
 
     With r = rank(M), the codewords whose support lies inside a column set S
     are those vanishing on its complement J, a subspace of 2^(r - rank(M_J))
@@ -245,16 +237,26 @@ def _subset_sum_profile(m: BinMatrix) -> list[list[int]]:
         np.add(low, np.bitwise_count(a[lo:lo + chunk] - 1), out=key)
         row = counts[lo.bit_count()]
         row += np.bincount(key, minlength=row.size).reshape(row.shape)
-    profile = [[0] * (k + 1) for _ in range(n + 1)]
+    profile = [[0] * (n + 1) for _ in range(k + 1)]
     for hi, low_kept, log_a in zip(*np.nonzero(counts)):
-        profile[n - hi - low_kept][r - log_a] += int(counts[hi, low_kept, log_a])
-    return profile
+        profile[r - log_a][n - hi - low_kept] += int(counts[hi, low_kept, log_a])
+    return tuple(map(tuple, profile))
 
 
-@lru_cache(maxsize=128)
-def _rank_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
-    """profile[s][r]: the number of s-column subsets J with rank(M_J) = r."""
-    return tuple(tuple(row) for row in _subset_sum_profile(m))
+def _kept_rank_law(m: BinMatrix, delta: float) -> list[float]:
+    """law[d]: the chance that the columns of `m` kept at erasure probability
+    `delta` span d dimensions.
+
+    The span law for k <= 3 rows. Above, the cached profile weighted per query:
+    an s-column subset is the kept set with probability (1-delta)^s delta^(n-s),
+    and each law[d] is an fsum of nonnegative products.
+    """
+    if m.rows <= _VALUE_DP_MAX_ROWS:
+        return _span_law(m, delta)
+    n = m.cols
+    kept, out = _pow_table(1.0 - delta, n), _pow_table(delta, n)
+    w = [kept[s] * out[n - s] for s in range(n + 1)]
+    return [math.fsum(map(operator.mul, w, counts)) for counts in _subset_sum_profile(m)]
 
 
 def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
@@ -262,16 +264,12 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     erasure channel with erasure probability `delta`.
 
     A received word decodes wrongly (ties included) exactly when the surviving
-    columns have rank below the message length k.
+    columns have rank below the message length k: the kept-rank law's mass
+    below k.
     """
     check_enum_cols(m.cols)
     _check_prob("delta", delta)
-    k = m.rows
-    if k <= _VALUE_DP_MAX_ROWS:
-        total = math.fsum(_span_law(m, delta)[:k])
-    else:
-        errors = [sum(row[:k]) for row in _rank_profile(m)]
-        total = _erasure_fold(errors, 1.0 - delta, delta)
+    total = math.fsum(_kept_rank_law(m, delta)[:m.rows])
     return PmlResult(value=min(total, 1.0), method="exact-enumeration")
 
 
@@ -391,23 +389,16 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     a sum of nonnegative terms, so small leakages keep their relative precision.
 
     The report also carries bound = n * p_ml_erasure(m, 1-eps) and its slack.
+    The erased columns at eps have the law of the kept ones at delta = 1 - eps,
+    so one kept-rank law gives both, the bound bit for bit as p_ml_erasure's.
     """
     check_enum_cols(m.cols)
     _check_prob("eps", eps)
     n, k = m.cols, m.rows
-    if k <= _VALUE_DP_MAX_ROWS:
-        # The erased columns at eps have the law of the kept ones at delta =
-        # 1 - eps: one law gives both, the bound as p_ml_erasure(m, 1 - eps).
-        rnk = len(_row_basis(m))
-        law = _span_law(m, 1.0 - eps)
-        leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
-        bound = n * min(math.fsum(law[:k]), 1.0)
-    else:
-        profile = _rank_profile(m)
-        rnk = profile[n].index(1)  # the one n-column subset has rank rank(M)
-        deficits = [sum((rnk - r) * c for r, c in enumerate(row)) for row in profile]
-        leakage = LN2 * _erasure_fold(deficits, eps, 1.0 - eps)
-        bound = n * p_ml_erasure(m, 1.0 - eps).value
+    rnk = len(_row_basis(m))
+    law = _kept_rank_law(m, 1.0 - eps)
+    leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
+    bound = n * min(math.fsum(law[:k]), 1.0)
     return LeakageReport(
         leakage_nats=leakage,
         hash_entropy_nats=rnk * LN2,
@@ -498,6 +489,8 @@ def verify_leakage_bound(m: BinMatrix, eps: float) -> LeakageReport:
 
 def trial_seeds(seed: int, trials: int) -> list[int]:
     """Per-trial random_matrix seeds drawn from one master seed."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**63, size=trials, dtype=np.int64)]
 
@@ -516,8 +509,6 @@ def best_matrix_search(
     leaks little but wastes output bits); ties keep the first occurrence.
     Falls back to the overall best only if no trial has full rank.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if channel not in ("bec", "bsc"):
         raise ValueError(f"channel must be 'bec' or 'bsc', got {channel!r}")
     check_enum_cols(n)

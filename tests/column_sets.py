@@ -1,6 +1,6 @@
 """Oracles' helpers for the tests: column subsets of a GF(2) matrix, spans
-grown by a vector, (size, rank) counts by a DP over the column values,
-matrices built from their columns or as identities, rows and text of a
+grown by a vector, (size, rank) counts by a DP over the column values and
+regrouped by rank, matrices built from their columns or as identities, rows and text of a
 matrix, and Monte Carlo errors decided sample by sample."""
 from __future__ import annotations
 
@@ -88,6 +88,12 @@ def column_value_profile(m: BinMatrix) -> list[list[int]]:
         for s, a in enumerate(counts):
             profile[s][span.bit_count().bit_length() - 1] += a
     return profile
+
+
+def by_rank(profile: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Counts by (size, rank) regrouped by rank, then size: the layout of the
+    profile that leakage._subset_sum_profile caches."""
+    return tuple(zip(*profile))
 
 
 def from_columns(k: int, cols: list[int]) -> BinMatrix:

@@ -124,6 +124,12 @@ class TestPmlCommand:
         code, _, err = run(capsys, "pml", "--matrix", matrix_file, "--channel", "bsc:0.3")
         assert code == 2 and "bec" in err
 
+    def test_negative_samples(self, capsys, matrix_file):
+        # Only 0 takes the exact path; any other count goes to Monte Carlo.
+        code, out, err = run(capsys, "pml", "--matrix", matrix_file, "--channel", "bec:0.3",
+                             "--samples", "-5")
+        assert code == 2 and out == "" and "samples must be >= 1" in err
+
 
 class TestVerifyBoundCommand:
     def test_rows_and_header(self, capsys, tmp_path):
@@ -140,12 +146,18 @@ class TestVerifyBoundCommand:
             assert float(line.split(",")[3]) >= -1e-9
 
     def test_zero_trials(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
             "--trials", "0",
         )
-        assert code == 0
-        assert out == "trial,leakage_nats,bound_nats,slack_nats\n"
+        assert code == 2 and out == "" and "trials must be >= 1" in err
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(
+            capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
+            "--trials", "-3",
+        )
+        assert code == 2 and out == "" and "trials must be >= 1" in err
 
     def test_single_bit_slack(self, capsys):
         # seed 0 draws the 1x1 matrix [1]
@@ -342,6 +354,23 @@ class TestScalingCommand:
                              "--channel", "bec:0.5")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("rate, sizes, want", [
+        ("0.2", "20,30", 3),  # the second size is past the cap
+        ("0.1", "8,0", 2),
+        ("-1", "8", 2),
+    ])
+    def test_every_size_checked_before_drawing(self, capsys, monkeypatch, tmp_path,
+                                               rate, sizes, want):
+        drawn, draw = [], leakage.random_matrix
+        monkeypatch.setattr(leakage, "random_matrix", lambda *args: drawn.append(args) or draw(*args))
+        dest = tmp_path / "s.csv"
+        code, out, err = run(
+            capsys, "scaling", "--rate", rate, "--n", sizes, "--channel", "bec:0.5",
+            "--trials", "50", "--seed", "1", "--out", str(dest),
+        )
+        assert code == want and out == "" and err.startswith("error:")
+        assert not dest.exists() and drawn == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,11 +4,13 @@ The two exact paths are gated on brute_force_leakage, which builds the full
 joint distribution of (hash output, observation word) with no rank shortcuts.
 Erasure decoding error is cross-checked against a direct per-pattern rank
 enumeration that shares nothing with the span law or the rank profile, and
-the span law against an exact rational fold of integer subset counts.
+the kept-rank law, from either source, against an exact rational fold of
+integer subset counts.
 """
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +31,8 @@ from leakexp.leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
-    _erasure_fold,
     _grown,
-    _rank_profile,
+    _kept_rank_law,
     _span_law,
     _subset_sum_profile,
     verify_leakage_bound,
@@ -41,6 +42,7 @@ from brute_force import brute_force_leakage
 from closed_forms import less_noisy_erasure_param
 from column_sets import (
     IndexSet,
+    by_rank,
     column_value_profile,
     from_columns,
     identity,
@@ -349,17 +351,15 @@ class TestRankProfileParallel:
         # k runs over 3, 4, 5: rank profiles are built by the subset-sum
         # transform alone, on both sides of the span law's k <= 3.
         m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
-        dp = tuple(map(tuple, column_value_profile(m)))
-        assert tuple(map(tuple, _subset_sum_profile(m))) == dp
-        assert _rank_profile(m) == dp
+        assert _subset_sum_profile(m) == by_rank(column_value_profile(m))
 
 
 @st.composite
-def low_rate_matrices(draw) -> BinMatrix:
-    """Up to 3 rows and 26 columns; columns are drawn partly from a small pool,
-    so zero, repeated and rank-deficient columns are common."""
-    k = draw(st.integers(0, 3))
-    n = draw(st.integers(0, 26))
+def pooled_matrices(draw, min_rows: int, max_rows: int, max_cols: int) -> BinMatrix:
+    """Columns drawn partly from a small pool, so zero, repeated and
+    rank-deficient columns are common."""
+    k = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(0, max_cols))
     column = st.integers(0, (1 << k) - 1)
     pool = draw(st.lists(column, min_size=1, max_size=3))
     cols = draw(st.lists(st.one_of(column, st.sampled_from(pool)), min_size=n, max_size=n))
@@ -387,14 +387,25 @@ def close(got: float, want: float, rel: float) -> bool:
     return abs(got - want) <= rel * abs(want) + 1e-290
 
 
-class TestSpanLaw:
-    """k <= 3 erasure queries fold one float law of the span per query."""
+def profile_law(m: BinMatrix, delta: float) -> list[float]:
+    """_kept_rank_law from the weighted subset-sum profile, whatever k is."""
+    with mock.patch.object(leakage, "_VALUE_DP_MAX_ROWS", -1):
+        return _kept_rank_law(m, delta)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(low_rate_matrices(), st.floats(0.0, 1.0))
+
+class TestSpanLaw:
+    """Erasure queries fold one float law of the kept rank per query: the span
+    law for k <= 3, the weighted rank profile above."""
+
+    # Up to 3 rows and 26 columns, or 4 to 9 rows and 12 columns.
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(pooled_matrices(0, 3, 26), pooled_matrices(4, 9, 12)), st.floats(0.0, 1.0))
     @example(BinMatrix(1, 24, ((1 << 24) - 1,)), 0.8)
     @example(from_columns(3, [0, 7, 7, 1, 0, 6] * 4), 1e-300)
     @example(from_columns(2, [3] * 26), 1.0 - 2.0**-53)
+    @example(from_columns(6, [0, 63, 63, 1, 0, 62, 5, 9]), 1e-300)
+    @example(from_columns(5, [31] * 12), 1.0 - 2.0**-53)
+    @example(from_columns(9, [1 << j for j in range(9)] + [0, 3, 511]), 0.3)
     def test_matches_exact_rational_fold(self, m, eps):
         _, deficits, errors = fold_weights(m)
         # The bound is n * P_ML at the float delta = 1 - eps that
@@ -408,16 +419,19 @@ class TestSpanLaw:
         assert rep.bound_nats == m.cols * p_ml_erasure(m, 1.0 - eps).value
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(low_rate_matrices(), st.floats(0.0, 1.0))
+    @given(pooled_matrices(0, 3, 14), st.floats(0.0, 1.0))
     def test_matches_the_profile_fold(self, m, eps):
-        # The fold k >= 4 takes, applied to the same subset counts.
-        rnk, deficits, errors = fold_weights(m)
-        rep = exact_leakage_bec(m, eps)
-        assert rep.hash_entropy_nats == rnk * LN2
-        assert close(rep.leakage_nats, LN2 * _erasure_fold(deficits, eps, 1.0 - eps), 1e-12)
-        delta = 1.0 - eps
-        pml = min(_erasure_fold(errors, 1.0 - delta, delta), 1.0)
-        assert close(p_ml_erasure(m, delta).value, pml, 1e-12)
+        # The weighted profile that k >= 4 takes, on the same k <= 3 matrices:
+        # the law's rank deficit and its mass below k, as the leakage and the
+        # bound read them.
+        rnk, k, delta = rank(m), m.rows, 1.0 - eps
+        span, profile = _span_law(m, delta), profile_law(m, delta)
+        assert _kept_rank_law(m, delta) == span
+        for law in (span, profile):
+            assert len(law) == k + 1 and min(law) >= 0.0
+        deficit = [math.fsum((rnk - d) * p for d, p in enumerate(law)) for law in (span, profile)]
+        assert close(deficit[0], deficit[1], 1e-12)
+        assert close(math.fsum(span[:k]), math.fsum(profile[:k]), 1e-12)
 
     @pytest.mark.parametrize("m", [
         BinMatrix(0, 3, ()),

@@ -19,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakexp.gf2 import BinMatrix, random_matrix, rank
-from leakexp.leakage import _rank_profile, _subset_sum, _subset_sum_profile
+from leakexp.leakage import _subset_sum, _subset_sum_profile
 
-from column_sets import IndexSet, column_value_profile, from_columns, identity, submatrix_cols
+from column_sets import (
+    IndexSet, by_rank, column_value_profile, from_columns, identity, submatrix_cols,
+)
 
 
 def per_mask_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
@@ -59,11 +61,9 @@ def matrices(draw) -> BinMatrix:
 @example(from_columns(2, [0, 3, 3, 0, 3, 0, 0, 3, 3, 0, 0, 3]))
 @example(from_columns(3, [7, 0, 1, 2, 3, 4, 5, 6, 0, 1, 6, 7]))
 def test_builders_match_per_mask_ranks(m):
-    dp = tuple(map(tuple, column_value_profile(m)))
-    transform = tuple(map(tuple, _subset_sum_profile(m)))
-    assert dp == transform
-    assert dp == per_mask_profile(m)
-    assert _rank_profile(m) == dp
+    dp = column_value_profile(m)
+    assert tuple(map(tuple, dp)) == per_mask_profile(m)
+    assert _subset_sum_profile(m) == by_rank(dp)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -112,16 +112,16 @@ def test_block_diagonal_profile_is_a_convolution():
     for s, (t, row) in itertools.product(range(15), enumerate(per_mask_profile(b))):
         for rb, c in enumerate(row):
             want[s + t][s + rb] += math.comb(14, s) * c
-    assert _subset_sum_profile(m) == want
+    assert _subset_sum_profile(m) == by_rank(want)
 
 
 def test_invertible_17x17_profile():
     m = next(m for s in itertools.count() if rank(m := random_matrix(17, 17, s)) == 17)
     want = [[math.comb(17, s) * (r == s) for r in range(18)] for s in range(18)]
-    assert _subset_sum_profile(m) == want
+    assert _subset_sum_profile(m) == by_rank(want)
 
 
 @pytest.mark.parametrize("n", [17, 20])
 def test_four_row_profile_past_one_chunk_matches_dp(n):
     m = random_matrix(4, n, n)
-    assert _subset_sum_profile(m) == column_value_profile(m)
+    assert _subset_sum_profile(m) == by_rank(column_value_profile(m))
