@@ -19,6 +19,7 @@ import math
 import sys
 from typing import Sequence
 
+from . import __version__
 from .channels import ChannelSpec, parse_channel
 from .errors import InputParseError, InvariantViolationError
 from .exponents import (
@@ -246,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
             "binary side channels, with decoding-error bounds and exponent curves."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"leakexp {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("leakage", help="exact leakage report for one matrix")

@@ -9,8 +9,9 @@ rank once, in floats, and reads both leakage and decoding error from it, to
 distinct column values whose states are the at most 16 subspaces of F_2^k:
 O(#values * 16) float operations, nothing built or cached per matrix. Above
 that it weights a profile counting the subsets by (rank, size), which a
-subset-sum transform over the codeword supports builds once per matrix,
-O(n 2^n) additions done 2 to 8 counts at a time in 64-bit words.
+subset-sum transform over the codeword supports builds once per matrix:
+O(n 2^n) additions of nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit
+words as rank <= 8, <= 16 or more needs, then one histogram key per two sets.
 Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
 transform, O(r 2^r).
 The Monte Carlo decoding error draws a chunk of samples at once and decides it
@@ -202,17 +203,31 @@ def _subset_sum(a: np.ndarray, n: int) -> None:
             v[:, 1, j] += v[:, 0, j]
 
 
+@lru_cache(maxsize=None)
+def _pair_size_keys(pairs: int, pair_type: np.dtype) -> np.ndarray:
+    """popcount(p) * (8 * pair_type.itemsize + 1) for the pair indices
+    p < pairs, in the pair's type: the size part of each pair's histogram
+    key, with a width one above the largest sum of byte popcounts. Read-only."""
+    out = np.bitwise_count(np.arange(pairs, dtype=pair_type)).astype(pair_type)
+    out *= 8 * pair_type.itemsize + 1
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=128)
 def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     """profile[d][s]: the number of s-column subsets J with rank(M_J) = d,
     counted from the supports of the codewords.
 
     With r = rank(M), the codewords whose support lies inside a column set S
-    are those vanishing on its complement J, a subspace of 2^(r - rank(M_J))
-    words. One subset-sum (zeta) transform over the 2^n sets counts them for
-    every S at once (Yates; Bjorklund et al., STOC 2007).
+    are those vanishing on its complement J, a subspace of 2^L(S) words,
+    L(S) = r - rank(M_J). One subset-sum (zeta) transform over the 2^n sets
+    counts the nonzero ones, 2^L(S) - 1, for every S at once (Yates; Bjorklund
+    et al., STOC 2007), in the narrowest lane that holds 2^r - 1.
     """
     n, k = m.cols, m.rows
+    if n == 0:  # only the empty set, of rank 0
+        return ((1,),) + ((0,),) * k
     # In reduced echelon form, sorted by leading bit, the basis spans its
     # codewords in increasing order, so the scatter writes memory in order.
     basis = sorted(_row_basis(m))
@@ -220,26 +235,45 @@ def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
         top = 1 << (b.bit_length() - 1)
         basis[i + 1:] = [v ^ b if v & top else v for v in basis[i + 1:]]
     r = len(basis)
-    # No count a[S] exceeds 2^r, so none overflows this lane type.
-    lane = np.dtype(np.min_scalar_type(1 << r)).newbyteorder("<")
+    lane = np.dtype(np.min_scalar_type((1 << r) - 1)).newbyteorder("<")
     a = np.zeros(max(1 << n, 8 // lane.itemsize), dtype=lane)
-    a[_xor_span(basis)] = 1
+    # The codewords a block at a time: the span of the low basis vectors XOR
+    # one combination of the high ones. Those vanish on the low pivots, so
+    # each block keeps the order of the low span and lies above the last.
+    split = _CHUNK.bit_length() - 1
+    low = _xor_span(basis[:split])
+    for high in _xor_span(basis[split:]).tolist():
+        a[low ^ high] = 1
+    a[0] = 0  # the zero codeword
     _subset_sum(a, n)
     # Histogram chunk by chunk (a chunk starts at a multiple of its length),
-    # per popcount of the high bits of S, keyed popcount(low bits) * 32 +
-    # log2 a[S]; a[S] is a power of two <= 2^r, so log2 a[S] = popcount(a[S] - 1) < 32.
+    # per popcount of the high bits of S. L(S) = popcount(a[S]), the sum of
+    # its lane's byte popcounts. An even S and S + 1 differ in column 0 only,
+    # so L(S + 1) - L(S) is 0 or 1 and sigma = L(S) + L(S + 1) fixes both.
+    # The pair's byte popcounts, each <= 8, read as one integer times
+    # 0x01..01 sum into its top byte with no carry. The pair's key is sigma
+    # plus popcount(S / 2 within the chunk) times a width above any sigma.
     chunk = min(1 << n, _CHUNK)
     low_bits = chunk.bit_length() - 1
-    low = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.uint16) * 32
-    key = np.empty(chunk, dtype=np.uint16)
-    counts = np.zeros((n - low_bits + 1, low_bits + 1, 32), dtype=np.int64)
+    pair_type = np.dtype(f"<u{2 * lane.itemsize}")
+    sizes = _pair_size_keys(chunk // 2, pair_type)
+    pop = np.empty(chunk * lane.itemsize, dtype=np.uint8)
+    keys = pop.view(pair_type)
+    ones, shift = (1 << 8 * pair_type.itemsize) // 255, 8 * pair_type.itemsize - 8
+    counts = np.zeros((n - low_bits + 1, low_bits, 8 * pair_type.itemsize + 1), dtype=np.int64)
     for lo in range(0, 1 << n, chunk):
-        np.add(low, np.bitwise_count(a[lo:lo + chunk] - 1), out=key)
+        np.bitwise_count(a[lo:lo + chunk].view(np.uint8), out=pop)
+        keys *= ones
+        keys >>= shift
+        keys += sizes
         row = counts[lo.bit_count()]
-        row += np.bincount(key, minlength=row.size).reshape(row.shape)
+        row += np.bincount(keys, minlength=row.size).reshape(row.shape)
     profile = [[0] * (n + 1) for _ in range(k + 1)]
-    for hi, low_kept, log_a in zip(*np.nonzero(counts)):
-        profile[r - log_a][n - hi - low_kept] += int(counts[hi, low_kept, log_a])
+    nonzero = np.nonzero(counts)
+    for hi, low_kept, sigma, c in zip(*(i.tolist() for i in nonzero), counts[nonzero].tolist()):
+        out = n - hi - low_kept  # |J| for J outside S; one less outside S + 1
+        profile[r - sigma // 2][out] += c
+        profile[r - (sigma + 1) // 2][out - 1] += c
     return tuple(map(tuple, profile))
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import leakexp
 import leakexp.cli as cli
 import leakexp.leakage as leakage
 from leakexp.cli import main
@@ -433,6 +434,14 @@ class TestEntryPoints:
         assert out1.returncode == 0, out1.stderr
         assert out2.returncode == 0, out2.stderr
         assert out1.stdout == out2.stdout
+
+    def test_version(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (f"leakexp {leakexp.__version__}\n", "")
+        proc = run_python(tmp_path, "-c", console_script_code(), "--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "leakexp 0.1.0\n", "")
 
     def test_unknown_subcommand_exits_two(self, tmp_path):
         proc = run_python(tmp_path, "-c", console_script_code(), "transmogrify")

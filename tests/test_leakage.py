@@ -34,7 +34,6 @@ from leakexp.leakage import (
     _grown,
     _kept_rank_law,
     _span_law,
-    _subset_sum_profile,
     verify_leakage_bound,
 )
 
@@ -42,7 +41,6 @@ from brute_force import brute_force_leakage
 from closed_forms import less_noisy_erasure_param
 from column_sets import (
     IndexSet,
-    by_rank,
     column_value_profile,
     from_columns,
     identity,
@@ -343,15 +341,6 @@ class TestLessNoisyDomination:
         bsc = exact_leakage_bsc(m, eps).leakage_nats
         bec = exact_leakage_bec(m, less_noisy_erasure_param(eps)).leakage_nats
         assert bsc <= bec + 1e-9
-
-
-class TestRankProfileParallel:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_partitioning_is_invisible(self, seed):
-        # k runs over 3, 4, 5: rank profiles are built by the subset-sum
-        # transform alone, on both sides of the span law's k <= 3.
-        m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
-        assert _subset_sum_profile(m) == by_rank(column_value_profile(m))
 
 
 @st.composite
