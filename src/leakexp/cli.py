@@ -48,9 +48,12 @@ _PRESETS = {
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputParseError(f"cannot write output file {out}: {exc}") from None
 
 
 def _emit_json(obj: dict, out: str | None) -> None:

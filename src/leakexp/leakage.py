@@ -5,13 +5,14 @@ eavesdropper through a memoryless channel. Both channels see M through the
 2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
 the ranks of random column subsets of M: each query takes the law of that
 rank once, in floats, and reads both leakage and decoding error from it, to
-1e-13 relative precision. For k <= 3 rows the law comes from a DP over the
-distinct column values whose states are the at most 16 subspaces of F_2^k:
-O(#values * 16) float operations, nothing built or cached per matrix. Above
-that it weights a profile counting the subsets by (rank, size), which a
-subset-sum transform over the codeword supports builds once per matrix:
-O(n 2^n) additions of nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit
-words as rank <= 8, <= 16 or more needs, then one histogram key per two sets.
+1e-13 relative precision. For k <= 5 rows the law comes from a DP over the
+distinct column values whose states are subspaces of F_2^k, at most 374,
+stepped through a table built once per k: O(#values * #subspaces) float
+operations, nothing built or cached per matrix. Above that it weights a
+profile counting the subsets by (rank, size), which a subset-sum transform
+over the codeword supports builds once per matrix: O(n 2^n) additions of
+nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit words as rank <= 8,
+<= 16 or more needs, then one histogram key per two sets.
 Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
 transform, O(r 2^r).
 The Monte Carlo decoding error draws a chunk of samples at once and decides it
@@ -64,11 +65,11 @@ _MC_BLOCK_WORDS = 1 << 17
 _CHUNK = 1 << 16
 # Up to this many rows each erasure query takes the span law, above it the
 # rank profile that the subset-sum transform builds once per matrix. Medians on
-# random matrices (2-vCPU VM, numpy 2.4): one law takes 0.03-0.04 ms at 2x16 to
-# 2x24 and 0.15 ms at 3x26. Past k = 3 its states are the 67, 374 and 2825
-# subspaces of F_2^k; law/transform 4x12 0.48/0.24 ms, 4x24 0.98/104, 5x24
-# 7.3/82, 6x20 29/5.9.
-_VALUE_DP_MAX_ROWS = 3
+# random matrices (2-vCPU VM, numpy 2.4), law/cold transform: 4x12 0.035/0.11
+# ms, 4x24 0.076/52, 5x12 0.105/0.114, 5x24 0.26/50; the k = 5 table takes
+# 2.7 ms once. At k = 6 the 2825 subspaces take 47 ms to tabulate and the law
+# loses to the transform up to n = 16: 6x12 0.46/0.19 ms, 6x16 0.67/0.38.
+_VALUE_DP_MAX_ROWS = 5
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
 # most 2^7 rows or columns: BLAS keeps products that small on one thread, and
@@ -136,12 +137,30 @@ def _pow_table(x: float, n: int) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _grown(span: int, v: int, k: int) -> int:
-    """The span of a set of vectors in F_2^k (bit x for vector x) with v added:
-    its vectors and their translates by v. For k <= 3 there are at most 16
-    spans and 8 values, so the cache holds every pair the span law meets."""
-    return span | sum(1 << (x ^ v) for x in range(1 << k) if (span >> x) & 1)
+@lru_cache(maxsize=None)
+def _subspace_table(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The subspaces of F_2^k as sorted 2^k-bit masks (bit x for vector x),
+    grown[v][i] the index of the span of subspace i and v, and the ranks.
+    Translating a mask by v swaps bits x and x ^ v, one butterfly swap per set
+    bit of v, so the translates by all 2^k vectors double up from the mask;
+    the span with v is the mask ORed with its translate by v."""
+    lows = [sum(1 << x for x in range(1 << k) if not (x >> i) & 1) for i in range(k)]
+
+    def grown(spans: list[int]) -> np.ndarray:
+        t = np.array([spans], dtype=np.uint64)
+        for i, low in enumerate(map(np.uint64, lows)):
+            s = np.uint64(1 << i)
+            t = np.concatenate([t, ((t >> s) & low) | ((t & low) << s)])
+        return t | t[0]
+
+    spans, new = {1}, {1}  # from the span {0}, one more vector per round
+    while new:
+        new = set(grown(list(new)).ravel().tolist()) - spans
+        spans |= new
+    masks = sorted(spans)
+    table = np.searchsorted(np.array(masks, dtype=np.uint64), grown(masks)).tolist()
+    ranks = tuple(s.bit_count().bit_length() - 1 for s in masks)
+    return tuple(masks), tuple(map(tuple, table)), ranks
 
 
 def _span_law(m: BinMatrix, out: float) -> list[float]:
@@ -150,29 +169,30 @@ def _span_law(m: BinMatrix, out: float) -> list[float]:
     probability `out`.
 
     A DP over the distinct column values. Per span of the values taken so far,
-    keyed as the set of its vectors (bit x for vector x, so the rank is log2
-    of its size), it carries the span's probability. A value v with c copies
-    joins unless all c stay out, which has probability out^c. F_2^k has at
-    most 16 subspaces for k <= 3: O(#values * 16) float operations, whatever
-    2^n is. Each probability is a sum of products of nonnegative factors.
+    an index into _subspace_table(k), it carries the span's probability. A
+    value v with c copies joins unless all c stay out, which has probability
+    out^c. Only the spans reached are kept, at most the 374 subspaces of
+    F_2^5 for k <= 5: O(#values * #spans) float operations, whatever 2^n is.
+    Each probability is a sum of products of nonnegative factors.
     Only 1 - out^c can lose relative precision, when out^c is near 1, but the
     same product with v left out, no higher in rank, then outweighs it; so
     sums weighted by a rank deficit or by rank < k keep theirs.
     """
-    k = m.rows
-    states = {1: 1.0}  # the span {0} of the empty set
+    _, grown, ranks = _subspace_table(m.rows)
+    states = {0: 1.0}  # the span {0} of the empty set
     for v, c in Counter(m.column_ints()).items():
         p_out = out**c
         p_in = 1.0 - p_out
+        row = grown[v]
         nxt: dict[int, float] = {}
         for span, p in states.items():
-            grown = _grown(span, v, k)
             nxt[span] = nxt.get(span, 0.0) + p * p_out
-            nxt[grown] = nxt.get(grown, 0.0) + p * p_in
+            joined = row[span]
+            nxt[joined] = nxt.get(joined, 0.0) + p * p_in
         states = nxt
-    law = [0.0] * (k + 1)
+    law = [0.0] * (m.rows + 1)
     for span, p in states.items():
-        law[span.bit_count().bit_length() - 1] += p
+        law[ranks[span]] += p
     return law
 
 
@@ -281,7 +301,7 @@ def _kept_rank_law(m: BinMatrix, delta: float) -> list[float]:
     """law[d]: the chance that the columns of `m` kept at erasure probability
     `delta` span d dimensions.
 
-    The span law for k <= 3 rows. Above, the cached profile weighted per query:
+    The span law for k <= 5 rows. Above, the cached profile weighted per query:
     an s-column subset is the kept set with probability (1-delta)^s delta^(n-s),
     and each law[d] is an fsum of nonnegative products.
     """
@@ -291,6 +311,13 @@ def _kept_rank_law(m: BinMatrix, delta: float) -> list[float]:
     kept, out = _pow_table(1.0 - delta, n), _pow_table(delta, n)
     w = [kept[s] * out[n - s] for s in range(n + 1)]
     return [math.fsum(map(operator.mul, w, counts)) for counts in _subset_sum_profile(m)]
+
+
+def _error_mass(law: list[float], rnk: int) -> float:
+    """P_ML, the kept-rank law's mass below k = len(law) - 1: exactly 1 when
+    rank `rnk` < k, which the float sum could miss by a few ulps."""
+    k = len(law) - 1
+    return 1.0 if rnk < k else min(math.fsum(law[:k]), 1.0)
 
 
 def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
@@ -303,8 +330,8 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     """
     check_enum_cols(m.cols)
     _check_prob("delta", delta)
-    total = math.fsum(_kept_rank_law(m, delta)[:m.rows])
-    return PmlResult(value=min(total, 1.0), method="exact-enumeration")
+    law = _kept_rank_law(m, delta)
+    return PmlResult(value=_error_mass(law, len(_row_basis(m))), method="exact-enumeration")
 
 
 def _wilson_halfwidth(value: float, samples: int) -> float:
@@ -428,11 +455,11 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     """
     check_enum_cols(m.cols)
     _check_prob("eps", eps)
-    n, k = m.cols, m.rows
+    n = m.cols
     rnk = len(_row_basis(m))
     law = _kept_rank_law(m, 1.0 - eps)
     leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
-    bound = n * min(math.fsum(law[:k]), 1.0)
+    bound = n * _error_mass(law, rnk)
     return LeakageReport(
         leakage_nats=leakage,
         hash_entropy_nats=rnk * LN2,

@@ -391,6 +391,18 @@ def test_size_cap_checked_before_drawing(capsys, monkeypatch, argv):
     assert code == 3 and out == "" and "capped at n=26" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rates", "--channel", "bsc:0.11", "--out", "{missing}/r.json"),
+    ("exponents", "er-bec", "--channel", "bec:0.5", "--steps", "3", "--out", "{missing}/c.csv"),
+    ("exponents", "--preset", "fig3", "--out", "{missing}"),
+])
+def test_unwritable_out_exits_two(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write output file {missing}/")
+
+
 def console_script_code():
     """Python source equivalent to the wrapper pip installs for ``leakexp``.
 

@@ -31,9 +31,9 @@ from leakexp.leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
-    _grown,
     _kept_rank_law,
     _span_law,
+    _subspace_table,
     verify_leakage_bound,
 )
 
@@ -355,6 +355,18 @@ def pooled_matrices(draw, min_rows: int, max_rows: int, max_cols: int) -> BinMat
     return from_columns(k, cols)
 
 
+@st.composite
+def rank_deficient_matrices(draw) -> BinMatrix:
+    """A pooled matrix of 1 to 7 rows and up to 14 columns, and one more row:
+    the XOR of a drawn set of the others, placed among them."""
+    m = draw(pooled_matrices(1, 7, 14))
+    extra = 0
+    for i in draw(st.sets(st.integers(0, m.rows - 1))):
+        extra ^= m.bits[i]
+    at = draw(st.integers(0, m.rows))
+    return BinMatrix(m.rows + 1, m.cols, m.bits[:at] + (extra,) + m.bits[at:])
+
+
 def fold_weights(m: BinMatrix) -> tuple[int, list[int], list[int]]:
     """rank(M), and per subset size the summed rank deficits rank(M) - rank(M_J)
     and the number of rank-deficient subsets, from exact integer counts."""
@@ -384,7 +396,7 @@ def profile_law(m: BinMatrix, delta: float) -> list[float]:
 
 class TestSpanLaw:
     """Erasure queries fold one float law of the kept rank per query: the span
-    law for k <= 3, the weighted rank profile above."""
+    law for k <= 5, the weighted rank profile above."""
 
     # Up to 3 rows and 26 columns, or 4 to 9 rows and 12 columns.
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -408,9 +420,9 @@ class TestSpanLaw:
         assert rep.bound_nats == m.cols * p_ml_erasure(m, 1.0 - eps).value
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(pooled_matrices(0, 3, 14), st.floats(0.0, 1.0))
+    @given(pooled_matrices(0, 5, 14), st.floats(0.0, 1.0))
     def test_matches_the_profile_fold(self, m, eps):
-        # The weighted profile that k >= 4 takes, on the same k <= 3 matrices:
+        # The weighted profile that k >= 6 takes, on the same k <= 5 matrices:
         # the law's rank deficit and its mass below k, as the leakage and the
         # bound read them.
         rnk, k, delta = rank(m), m.rows, 1.0 - eps
@@ -427,7 +439,9 @@ class TestSpanLaw:
         from_columns(1, [1, 0, 1]),
         from_columns(2, [1, 2, 3, 0, 3]),
         from_columns(3, [5, 5, 0]),  # rank 1 < k
-        from_columns(4, [1, 2, 4, 8, 15, 0]),  # the profile path
+        from_columns(4, [1, 2, 4, 8, 15, 0]),
+        from_columns(6, [1, 2, 4, 8, 16, 32, 63, 0]),  # the profile path
+        from_columns(7, [1, 2, 4, 8, 16, 3, 0]),  # the profile path, rank 5 < k
     ])
     def test_probabilities_at_zero_and_one(self, m):
         n, k, rnk = m.cols, m.rows, rank(m)
@@ -443,19 +457,54 @@ class TestSpanLaw:
         assert all_erased.leakage_nats == 0.0
         assert all_erased.bound_nats == n * deficient
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_memoized_translate_matches_the_generator_rule(self, k):
-        # Every span of F_2^k, reached from {0} by adding vectors, with every v.
-        spans, todo = {1}, [1]
-        while todo:
-            span = todo.pop()
+    @pytest.mark.parametrize("k", range(6))
+    def test_subspace_table_matches_the_translate_rule(self, k):
+        # Every subspace of F_2^k, with every v added, and its rank.
+        masks, grown, ranks = _subspace_table(k)
+        assert len(masks) == (1, 2, 5, 16, 67, 374)[k]
+        assert list(masks) == sorted(set(masks)) and masks[0] == 1
+        index = {span: i for i, span in enumerate(masks)}
+        for i, span in enumerate(masks):
+            assert 1 << ranks[i] == span.bit_count()
             for v in range(1 << k):
-                grown = translate(span, v, k)
-                assert _grown(span, v, k) == grown
-                if grown not in spans:
-                    spans.add(grown)
-                    todo.append(grown)
-        assert len(spans) == (1, 2, 5, 16)[k]
+                joined = translate(span, v, k)
+                # A mask closed under adding its own vectors is a subspace.
+                assert (joined == span) == bool((span >> v) & 1)
+                assert grown[v][i] == index[joined]
+
+    @pytest.mark.parametrize("sizes, trailing", [
+        ((1, 2, 3, 4), 0),
+        ((6, 6, 7, 7), 0),  # n = 26
+        ((1, 1, 2, 3), 15),  # columns in no row
+        ((1, 2, 3, 4, 5), 2),
+        ((2, 3, 5, 7, 9), 0),  # n = 26
+    ])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 0.8, 0.97])
+    def test_disjoint_parity_rows_closed_forms(self, sizes, trailing, eps):
+        # Row i is the parity of its own w_i columns: it leaks unless one of
+        # them is erased, and decoding fails when all of them are.
+        rows, start = [], 0
+        for w in sizes:
+            rows.append(((1 << w) - 1) << start)
+            start += w
+        m = BinMatrix(len(sizes), start + trailing, tuple(rows))
+        leak = LN2 * math.fsum((1.0 - eps) ** w for w in sizes)
+        delta = 1.0 - eps
+        p_ml = -math.expm1(math.fsum(math.log1p(-(delta**w)) for w in sizes))
+        assert exact_leakage_bec(m, eps).leakage_nats == pytest.approx(leak, rel=1e-13, abs=0.0)
+        assert p_ml_erasure(m, delta).value == pytest.approx(p_ml, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rank_deficient_matrices(), st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    @example(parse_matrix("3 13\n0100000110011\n1011001001000\n1111001111011\n"), 0.3)
+    def test_rank_deficient_codes_always_fail(self, m, delta):
+        # The kept rank never reaches k, so P_ML is 1 and the bound n exactly,
+        # though the law's terms need not sum to 1 in floats. First from the
+        # law's own source (the span law up to k = 5), then the transform.
+        for split in (leakage._VALUE_DP_MAX_ROWS, -1):
+            with mock.patch.object(leakage, "_VALUE_DP_MAX_ROWS", split):
+                assert p_ml_erasure(m, delta).value == 1.0
+                assert exact_leakage_bec(m, 1.0 - delta).bound_nats == m.cols
 
     def test_law_sums_to_one_over_the_dimensions(self):
         m = from_columns(3, [1, 2, 2, 4, 3, 0, 7])

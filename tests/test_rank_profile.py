@@ -196,6 +196,6 @@ def test_four_row_profile_past_one_chunk_matches_dp(n):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_transform_profile_matches_dp_on_three_to_five_rows(seed):
-    # k runs over 3, 4, 5, on both sides of the span law's k <= 3, at n = 10-14.
+    # k runs over 3, 4 and 5, rows that queries take to the span law, at n = 10-14.
     m = random_matrix(3 + seed % 3, 10 + seed, 800 + seed)
     assert _subset_sum_profile(m) == by_rank(column_value_profile(m))
