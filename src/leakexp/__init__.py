@@ -21,7 +21,6 @@ from .exponents import (
     curve,
     expurgation_exponent_bec,
     expurgation_exponent_bsc,
-    expurgation_exponent_min_form,
     expurgation_rate,
     random_coding_exponent,
     random_coding_exponent_bec,
@@ -42,7 +41,6 @@ from .leakage import (
     exact_leakage_bsc,
     mc_p_ml_erasure,
     p_ml_erasure,
-    verify_leakage_bound,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +61,6 @@ __all__ = [
     "exact_leakage_bsc",
     "p_ml_erasure",
     "mc_p_ml_erasure",
-    "verify_leakage_bound",
     "best_matrix_search",
     "OptResult",
     "CurvePoint",
@@ -74,7 +71,6 @@ __all__ = [
     "random_coding_exponent_bsc",
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
-    "expurgation_exponent_min_form",
     "critical_rate",
     "expurgation_rate",
     "curve",

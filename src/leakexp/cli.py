@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input parse error, 3 size limit exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +24,7 @@ from . import __version__
 from .channels import ChannelSpec, parse_channel
 from .errors import InputParseError, InvariantViolationError
 from .exponents import (
-    LN2, CURVE_FAMILY, CURVE_KINDS, _fmt, critical_rate, curve, expurgation_rate,
+    LN2, CURVE_FAMILY, CURVE_KINDS, _bsc_delta, _fmt, critical_rate, curve, expurgation_rate,
 )
 from .gf2 import BinMatrix, parse_matrix, random_matrix
 from .leakage import (
@@ -34,7 +35,6 @@ from .leakage import (
     mc_p_ml_erasure,
     p_ml_erasure,
     trial_seeds,
-    verify_leakage_bound,
 )
 
 # Figure preset: channel probability and its (random-coding, expurgation) kinds.
@@ -88,18 +88,9 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
         report = exact_leakage_bec(m, spec.eps)
     else:
         report = exact_leakage_bsc(m, spec.eps)
-    _emit_json(
-        {
-            "leakage_nats": report.leakage_nats,
-            "hash_entropy_nats": report.hash_entropy_nats,
-            "bound_nats": report.bound_nats,
-            "slack_nats": report.slack_nats,
-            "method": "exact-enumeration",
-            "samples": 0,
-            "ci_halfwidth": 0.0,
-        },
-        args.out,
-    )
+    # The report's fields in order: leakage, entropy, bound, slack.
+    extra = {"method": "exact-enumeration", "samples": 0, "ci_halfwidth": 0.0}
+    _emit_json({**dataclasses.asdict(report), **extra}, args.out)
     return 0
 
 
@@ -128,8 +119,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
     check_enum_cols(args.n)
     lines = ["trial,leakage_nats,bound_nats,slack_nats"]
     for t, s in enumerate(trial_seeds(args.seed, args.trials)):
-        report = verify_leakage_bound(random_matrix(args.k, args.n, s), spec.eps)
-        assert report.bound_nats is not None and report.slack_nats is not None
+        report = exact_leakage_bec(random_matrix(args.k, args.n, s), spec.eps)
         lines.append(
             f"{t},{_fmt(report.leakage_nats)},{_fmt(report.bound_nats)},"
             f"{_fmt(report.slack_nats)}"
@@ -193,7 +183,7 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
 def _cmd_rates(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bsc",))
     eps = spec.eps
-    delta = (1.0 - 2.0 * eps) ** 2
+    delta = _bsc_delta(eps)
     r_cr = critical_rate(eps)
     r_x = expurgation_rate(delta)
     if r_x > r_cr:

@@ -10,7 +10,8 @@ relative precision as theta -> 0. The slope is minus the tilted mean of l less
 the rate, H(X|Z) - R at theta = 0, and decreases with theta.
 Expurgation-style exponents maximize over theta >= 1. Their slope is
 ln 2 - R - h(p) with p = t/(1+t) and t = delta^(1/theta), so they are solved on
-x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta).
+x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta); that p
+is also the minimizer of their constrained form, returned as p_star.
 
 The root-finder takes Newton steps inside a sign bracket, bisecting where a
 step would leave it. Each rate stops once its slope is at its rounding floor,
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import ChannelSpec, JointSource, bec_joint, bsc_joint
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, SizeLimitError
 
 __all__ = [
     "OptResult",
@@ -41,7 +42,6 @@ __all__ = [
     "random_coding_exponent_bsc",
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
-    "expurgation_exponent_min_form",
     "critical_rate",
     "expurgation_rate",
     "curve",
@@ -54,6 +54,8 @@ LN2 = math.log(2.0)
 _STEP_TOL = 1e-14
 # A bound on the steps of any one root; the preset curves need at most 8.
 _MAX_STEPS = 100
+# The most rates per curve: er-bsc at 10^6 takes about 6 s and 0.5 GB.
+_MAX_CURVE_STEPS = 10**6
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
 
 # Each curve kind and the channel family ('bec' or 'bsc') of the probability
@@ -73,9 +75,10 @@ class OptResult:
     """Optimizer outcome: the value plus where it was attained.
 
     `theta_star` is the tilt (math.inf marks a limit that is approached, not
-    attained, flagged by form 'closed-limit'); `p_star` is set only by the
-    flip-probability minimization form. An interior `theta_star` is a root of
-    the objective's slope f' with |f'(theta_star)| at its rounding floor.
+    attained, flagged by form 'closed-limit'); `p_star`, set by the expurgation
+    exponents only, is the flip probability t/(1+t), t = delta^(1/theta_star),
+    that minimizes their constrained form. An interior `theta_star` is a root
+    of the objective's slope f' with |f'(theta_star)| at its rounding floor.
     The expurgation tilt has a conditioning limit: a float rate resolves
     ln 2 - R only to about 1e-16, so for delta below about 1e-16 it is set by
     rounding at rates that close to ln 2 (bsc:0.499999999999 at R = LN2
@@ -294,15 +297,18 @@ def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
 def expurgation_exponent_bec(rate: float, delta: float) -> OptResult:
     """max over theta >= 1 of theta*(ln 2 - rate - ln(1 + delta^(1/theta))).
 
+    It equals min -p*ln(delta) + (ln 2 - rate) - h(p) over p in [0, 1/2] with
+    h(p) >= ln 2 - rate, attained at p_star: the objective is convex and
+    stationary at delta/(1+delta), clipped to the boundary h(p) = ln 2 - rate.
     At rate 0 the supremum -(1/2) ln delta is approached as theta grows without
     bound; that limit is returned with theta_star = inf and form 'closed-limit'.
     """
     _check_delta(delta)
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    theta, value, _ = _expurgation(np.array([rate]), delta)
+    theta, value, p = _expurgation(np.array([rate]), delta)
     form = "closed-limit" if rate == 0.0 else "max-theta"
-    return OptResult(float(value[0]), float(theta[0]), None, form)
+    return OptResult(float(value[0]), float(theta[0]), float(p[0]), form)
 
 
 def _bsc_delta(eps: float) -> float:
@@ -317,29 +323,9 @@ def expurgation_exponent_bsc(rate: float, eps: float) -> OptResult:
     return expurgation_exponent_bec(rate, _bsc_delta(eps))
 
 
-def expurgation_exponent_min_form(rate: float, delta: float) -> OptResult:
-    """Equivalent minimization over the virtual flip probability p:
-
-        min -p*ln(delta) + (ln 2 - rate) - h(p)
-        over p in [0, 1/2] with h(p) >= ln 2 - rate.
-
-    The objective is convex and stationary at p = delta/(1+delta); clipped to
-    the constraint boundary h(p) = ln 2 - rate, that is the p of the tilt
-    form's stationary point, so both forms share one solution.
-    """
-    _check_delta(delta)
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
-    if rate > LN2 + 1e-12:
-        raise ValueError("rate above ln 2 leaves no feasible p")
-    _, value, p = _expurgation(np.array([min(rate, LN2)]), delta)
-    return OptResult(value=float(value[0]), theta_star=None, p_star=float(p[0]), form="min-p")
-
-
 def critical_rate(eps: float) -> float:
     """Largest rate at which the bit-flip random-coding optimizer sits at theta = 1."""
-    if not 0.0 < eps < 0.5:
-        raise DegenerateParameterError(f"eps={eps} must lie strictly in (0, 1/2)")
+    _bsc_delta(eps)  # raises on eps outside (0, 1/2)
     a = (1.0 - eps) ** 2
     b = eps * eps
     return -(a * math.log(1.0 - eps) + b * math.log(eps)) / (a + b)
@@ -376,6 +362,8 @@ def curve(
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps > _MAX_CURVE_STEPS:
+        raise SizeLimitError(f"steps={steps} above the cap of {_MAX_CURVE_STEPS}")
     if not 0.0 <= r_min < r_max < math.inf:
         raise ValueError("need 0 <= r_min < r_max < inf")
     if kind not in CURVE_FAMILY:

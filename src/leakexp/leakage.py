@@ -19,6 +19,9 @@ The Monte Carlo decoding error draws a chunk of samples at once and decides it
 in cache-sized blocks, by k branch-free pivot steps over the rows of M packed
 into one 32-bit word per sample for n <= 32, ceil(n/64) 64-bit words above.
 
+Reports check their invariants when built (leakage in [0, entropy], slack
+>= -1e-9, P_ML in [0, 1]), raising InvariantViolationError on an internal fault.
+
 Limits: n <= 26 for the exact paths, none for Monte Carlo.
 """
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +47,6 @@ __all__ = [
     "exact_leakage_bsc",
     "p_ml_erasure",
     "mc_p_ml_erasure",
-    "verify_leakage_bound",
     "best_matrix_search",
 ]
 
@@ -95,9 +98,14 @@ class LeakageReport:
 
     def __post_init__(self) -> None:
         if self.leakage_nats < 0.0:
-            raise ValueError("leakage cannot be negative")
+            raise InvariantViolationError("leakage cannot be negative")
         if self.leakage_nats > self.hash_entropy_nats + 1e-9:
-            raise ValueError("leakage cannot exceed the hash output entropy")
+            raise InvariantViolationError("leakage cannot exceed the hash output entropy")
+        if self.slack_nats is not None and self.slack_nats < _SLACK_FLOOR:
+            raise InvariantViolationError(
+                f"leakage {self.leakage_nats} exceeds bound {self.bound_nats} "
+                f"(slack {self.slack_nats})"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,9 @@ class PmlResult:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"probability {self.value} outside [0, 1]")
+            raise InvariantViolationError(f"probability {self.value} outside [0, 1]")
         if self.method not in ("exact-enumeration", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InvariantViolationError(f"unknown method {self.method!r}")
 
 
 def check_enum_cols(n: int) -> None:
@@ -535,25 +543,16 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
     return LeakageReport(leakage_nats=math.ldexp(total, -r), hash_entropy_nats=r * LN2)
 
 
-def verify_leakage_bound(m: BinMatrix, eps: float) -> LeakageReport:
-    """Exact erasure leakage with the n * P_ML bound checked; raises
-    InvariantViolationError if the slack drops below -1e-9."""
-    report = exact_leakage_bec(m, eps)
-    assert report.slack_nats is not None
-    if report.slack_nats < _SLACK_FLOOR:
-        raise InvariantViolationError(
-            f"leakage {report.leakage_nats} exceeds bound {report.bound_nats} "
-            f"(slack {report.slack_nats})"
-        )
-    return report
-
-
-def trial_seeds(seed: int, trials: int) -> list[int]:
-    """Per-trial random_matrix seeds drawn from one master seed."""
+def trial_seeds(seed: int, trials: int) -> Iterator[int]:
+    """Per-trial random_matrix seeds drawn from one master seed, a block at a
+    time: int64 draws from one generator are the same however they are split,
+    so no trial count costs memory up front."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63, size=trials, dtype=np.int64)]
+    blocks = (rng.integers(0, 2**63, size=min(_CHUNK, trials - lo), dtype=np.int64)
+              for lo in range(0, trials, _CHUNK))
+    return (s for block in blocks for s in block.tolist())
 
 
 def best_matrix_search(

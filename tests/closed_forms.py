@@ -2,9 +2,9 @@
 stationarity solver.
 
 The random-coding objectives are written straight from the channel's
-transition probabilities, and every maximization here (random-coding tilt,
-expurgation tilt, Lagrangian dual) is a pure-Python golden-section search on
-the objective itself, so neither the evaluator nor the solver is shared with
+transition probabilities, and every optimization here (random-coding tilt,
+expurgation tilt, its constrained minimum over a flip probability, Lagrangian
+dual) is a pure-Python golden-section search on the objective itself, so neither the evaluator nor the solver is shared with
 the library. Also here: closed forms of the joint sources that the library
 does not need.
 """
@@ -87,6 +87,24 @@ def ex_tilt(rate: float, delta: float) -> tuple[float, float]:
 
     s, value = golden_max_one(objective, 0.0, 1.0 - 1e-9)
     return value, 1.0 / (1.0 - s)
+
+
+def ex_min(rate: float, delta: float) -> tuple[float, float]:
+    """(value, p) of the flip-probability program
+    min -p*ln(delta) + (ln 2 - rate) - h(p) over p in [p_R, 1/2], where
+    h(p_R) = ln 2 - rate bounds the feasible p >= p_R. p_R is found by float
+    bisection on [0, 1/2], run until the midpoint repeats an end (the right
+    end is kept, so h(p_R) >= ln 2 - rate), the minimum by golden-section
+    search on the convex objective."""
+    gap, ln_delta = LN2 - rate, math.log(delta)
+    lo, hi = 0.0, 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if h2(mid) < gap:
+            lo = mid
+        else:
+            hi = mid
+    p, neg = golden_max_one(lambda p: p * ln_delta - gap + h2(p), hi, 0.5)
+    return -neg, p
 
 
 def lagrangian_dual(lam: float, rate: float, delta: float) -> float:

@@ -20,7 +20,6 @@ from leakexp.exponents import (
     expurgation_exponent_bec,
     expurgation_exponent_bsc,
     expurgation_rate,
-    expurgation_exponent_min_form,
     random_coding_exponent,
     random_coding_exponent_bec,
     random_coding_exponent_bsc,
@@ -127,19 +126,19 @@ def test_04_generic_optimizer_matches_closed_forms():
 
 
 def test_05_three_expurgation_forms_agree():
-    # the library's stationary point (tilt and constrained-min forms) against
-    # the tilt maximum and the dual maximum found by search
+    # the library's stationary point against the three forms found by search:
+    # the tilt maximum, the constrained minimum over p and the dual maximum
     worst = 0.0
     for delta in (0.25, 0.5, 0.75):
         for r in grid(0.02, LN2 - 0.02, 30):
             mx = expurgation_exponent_bec(r, delta).value
-            worst = max(worst, abs(mx - expurgation_exponent_min_form(r, delta).value))
             worst = max(worst, abs(mx - closed_forms.ex_tilt(r, delta)[0]))
+            worst = max(worst, abs(mx - closed_forms.ex_min(r, delta)[0]))
             worst = max(worst, abs(mx - closed_forms.lagrangian_dual_max(r, delta)))
     ok = worst <= 1e-6
     report(5, ok,
-           f"stationary point, tilt-max and dual-max forms agree "
-           f"(max spread {worst:.2e})")
+           f"stationary point equals the tilt-max, constrained-min and dual-max "
+           f"forms (max spread {worst:.2e})")
 
 
 def test_06_reduction_interval_agreement():

@@ -190,7 +190,7 @@ class TestVerifyBoundCommand:
         def leaky(m, eps):
             return leakage.LeakageReport(0.5, 1.0, bound_nats=0.4, slack_nats=-0.1)
 
-        monkeypatch.setattr(leakage, "exact_leakage_bec", leaky)
+        monkeypatch.setattr(cli, "exact_leakage_bec", leaky)
         dest = tmp_path / "v.csv"
         code, out, err = run(
             capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
@@ -198,6 +198,27 @@ class TestVerifyBoundCommand:
         )
         assert code == 5 and "slack -0.1" in err
         assert out == "" and not dest.exists()
+
+
+@pytest.mark.parametrize("command, target, fields, message", [
+    ("leakage", "exact_leakage_bec", (-0.1, LN2), "leakage cannot be negative"),
+    ("leakage", "exact_leakage_bsc", (1.0, LN2), "cannot exceed the hash output entropy"),
+    ("leakage", "exact_leakage_bec", (0.5, LN2, 0.4, -0.1), "(slack -0.1)"),
+    ("pml", "p_ml_erasure", (1.5, "exact-enumeration"), "probability 1.5 outside [0, 1]"),
+    ("pml", "p_ml_erasure", (0.5, "guesswork"), "unknown method 'guesswork'"),
+])
+def test_report_invariant_exits_five(capsys, monkeypatch, tmp_path, matrix_file,
+                                     command, target, fields, message):
+    # Reports check themselves when built, so a library fault exits 5 with
+    # nothing written.
+    kind = leakage.LeakageReport if command == "leakage" else leakage.PmlResult
+    monkeypatch.setattr(cli, target, lambda m, eps: kind(*fields))
+    channel = "bsc:0.5" if target.endswith("bsc") else "bec:0.5"
+    dest = tmp_path / "r.json"
+    code, out, err = run(capsys, command, "--matrix", matrix_file, "--channel", channel,
+                         "--out", str(dest))
+    assert code == 5 and out == "" and message in err
+    assert not dest.exists()
 
 
 class TestSearchCommand:
@@ -210,6 +231,15 @@ class TestSearchCommand:
         rep = json.loads(out1)
         assert len(rep["matrix"]) == 2 and len(rep["matrix"][0]) == 5
         assert rep["leakage_nats"] <= rep["hash_entropy_nats"]
+
+    def test_violated_bound_exits_five(self, capsys, monkeypatch):
+        # search reads the module's own exact_leakage_bec
+        monkeypatch.setattr(
+            leakage, "exact_leakage_bec", lambda m, eps: leakage.LeakageReport(0.5, 1.0, 0.4, -0.1)
+        )
+        code, out, err = run(capsys, "search", "--k", "2", "--n", "4", "--channel", "bec:0.5",
+                             "--trials", "3")
+        assert code == 5 and out == "" and "slack -0.1" in err
 
 
 class TestExponentsCommand:
@@ -288,6 +318,13 @@ class TestExponentsCommand:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_steps_above_the_cap_exit_three(self, capsys, tmp_path):
+        dest = tmp_path / "c.csv"
+        code, out, err = run(capsys, "exponents", "er-bec", "--channel", "bec:0.5",
+                             "--steps", "10000000000000", "--out", str(dest))
+        assert code == 3 and out == "" and "above the cap of 1000000" in err
+        assert not dest.exists()
+
     def test_steps_two(self, capsys):
         code, out, _ = run(
             capsys, "exponents", "ex-bsc-reduction", "--channel", "bsc:0.25",
@@ -308,7 +345,9 @@ class TestRatesCommand:
         assert rep["R_x_nats"] <= rep["R_cr_nats"]
 
     def test_degenerate_exit(self, capsys):
-        assert run(capsys, "rates", "--channel", "bsc:0.5")[0] == 4
+        code, out, err = run(capsys, "rates", "--channel", "bsc:0.5")
+        assert code == 4 and out == ""
+        assert err == "error: eps=0.5 must lie strictly in (0, 1/2)\n"
 
     def test_family_checked(self, capsys):
         assert run(capsys, "rates", "--channel", "bec:0.2")[0] == 2

@@ -2,8 +2,9 @@
 
 Closed forms are pinned to hand-derived endpoint values. The library solves
 each exponent where its slope vanishes; the oracles in tests/closed_forms.py
-maximize by search instead (random-coding and expurgation tilt, Lagrangian
-dual), and the two are required to agree, as are the slope at the returned
+optimize by search instead (random-coding and expurgation tilt, the
+expurgation exponent's constrained minimum, Lagrangian dual), and the two are
+required to agree, as are the slope at the returned
 tilt and the value at small rates against a 50-digit decimal oracle.
 """
 import math
@@ -15,7 +16,7 @@ import pytest
 import closed_forms
 from leakexp import exponents
 from leakexp.channels import bec_joint, bsc_joint, parse_channel
-from leakexp.errors import DegenerateParameterError
+from leakexp.errors import DegenerateParameterError, SizeLimitError
 from leakexp.exponents import (
     _decreasing_root,
     _tilt_terms,
@@ -23,7 +24,6 @@ from leakexp.exponents import (
     curve,
     expurgation_exponent_bec,
     expurgation_exponent_bsc,
-    expurgation_exponent_min_form,
     expurgation_rate,
     random_coding_exponent,
     random_coding_exponent_bec,
@@ -256,8 +256,8 @@ class TestExpurgationExponent:
     @pytest.mark.parametrize("delta", [1e-6, 0.1, 0.5, 0.9])
     def test_zero_rate_is_exact_half_flip(self, delta):
         # rate 0 is p = 1/2 exactly, not a root found next to it
-        assert expurgation_exponent_bec(0.0, delta).value == -0.5 * math.log(delta)
-        assert expurgation_exponent_min_form(0.0, delta).p_star == 0.5
+        got = expurgation_exponent_bec(0.0, delta)
+        assert got.value == -0.5 * math.log(delta) and got.p_star == 0.5
 
     @pytest.mark.parametrize(
         "rate, delta, tol",
@@ -278,39 +278,38 @@ class TestExpurgationExponent:
 
 
 class TestMinFormAndDuality:
-    """The library's stationarity solution against two oracles that maximize
-    by search: the tilt objective on u = 1/theta and the Lagrangian dual."""
+    """The library's stationarity solution, with its flip probability p_star,
+    against three oracles that optimize by search: the tilt objective on
+    u = 1/theta, the constrained minimum over p and the Lagrangian dual."""
 
     def test_full_rate_unconstrained_minimum(self):
         # at full rate the constraint is vacuous; stationarity gives
         # p = delta/(1+delta)
-        got = expurgation_exponent_min_form(LN2, 0.5)
-        assert got.form == "min-p"
+        got = expurgation_exponent_bec(LN2, 0.5)
         assert abs(got.p_star - 1.0 / 3.0) <= 1e-8
         assert abs(got.value - math.log(2.0 / 3.0)) <= 1e-9
+        value, p = closed_forms.ex_min(LN2, 0.5)
+        assert abs(p - 1.0 / 3.0) <= 1e-6 and abs(value - got.value) <= 1e-12
 
     def test_tiny_rate_pins_flip_probability(self):
         rate = 1e-6
-        got = expurgation_exponent_min_form(rate, 0.5)
+        got = expurgation_exponent_bec(rate, 0.5)
         assert abs(got.p_star - 0.5) <= 1e-3
         # converges to the zero-rate supremum at sqrt speed
         assert abs(got.value - 0.5 * LN2) <= 6e-4
 
-    def test_rate_beyond_full_rejected(self):
-        with pytest.raises(ValueError):
-            expurgation_exponent_min_form(LN2 + 1e-6, 0.5)
-
     @staticmethod
     def assert_forms_agree(r, delta, tol):
         got = expurgation_exponent_bec(r, delta)
-        mn = expurgation_exponent_min_form(r, delta)
         tilt, theta = closed_forms.ex_tilt(r, delta)
+        primal, p = closed_forms.ex_min(r, delta)
         du = closed_forms.lagrangian_dual_max(r, delta)
-        # the min form's p is the tilt's stationary point
-        assert mn.value == got.value
+        # p_star is the tilt's stationary point and the constrained minimizer
         t = delta ** (1.0 / got.theta_star)
-        assert abs(mn.p_star - t / (1.0 + t)) <= 1e-12
+        assert abs(got.p_star - t / (1.0 + t)) <= 1e-12
+        assert abs(got.p_star - p) <= 1e-6
         assert abs(got.value - tilt) <= tol
+        assert abs(got.value - primal) <= tol
         assert abs(got.value - du) <= tol
         assert abs(got.theta_star - theta) <= 1e-4 * theta
 
@@ -356,7 +355,7 @@ class TestReductionExponent:
     def test_zero_rate_quarter(self):
         got = expurgation_exponent_bsc(0.0, 0.25)
         assert abs(got.value - LN2) <= 1e-12
-        assert got.form == "closed-limit"
+        assert got.form == "closed-limit" and got.p_star == 0.5
 
     def test_grows_with_eavesdropper_noise(self):
         # more crossover noise means a weaker eavesdropper and a larger
@@ -520,3 +519,5 @@ class TestCurve:
             curve("er-bec", 0.5, 0.0, LN2, 1)
         with pytest.raises(DegenerateParameterError):
             curve("ex-bec", 1.0, 0.0, LN2, 5)
+        with pytest.raises(SizeLimitError):
+            curve("er-bec", 0.5, 0.0, LN2, exponents._MAX_CURVE_STEPS + 1)

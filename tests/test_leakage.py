@@ -34,7 +34,7 @@ from leakexp.leakage import (
     _kept_rank_law,
     _span_law,
     _subspace_table,
-    verify_leakage_bound,
+    trial_seeds,
 )
 
 from brute_force import brute_force_leakage
@@ -311,24 +311,31 @@ class TestLeakageBound:
         k = 1 + seed % min(n, 4)
         m = random_matrix(k, n, 500 + seed)
         eps = (0.1, 0.25, 0.5, 0.75)[seed % 4]
-        rep = verify_leakage_bound(m, eps)
+        rep = exact_leakage_bec(m, eps)
         assert rep.slack_nats is not None and rep.slack_nats >= -1e-9
         assert rep.bound_nats == n * p_ml_erasure(m, 1 - eps).value
 
     def test_single_bit_slack_value(self):
         m = parse_matrix("1 1\n1\n")
-        rep = verify_leakage_bound(m, 0.5)
+        rep = exact_leakage_bec(m, 0.5)
         assert abs(rep.slack_nats - (0.5 - 0.5 * LN2)) <= 1e-15
 
     def test_report_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolationError, match="negative"):
             LeakageReport(leakage_nats=-0.1, hash_entropy_nats=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolationError, match="entropy"):
             LeakageReport(leakage_nats=2.0, hash_entropy_nats=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolationError, match=r"\(slack -0.1\)"):
+            LeakageReport(0.5, 1.0, bound_nats=0.4, slack_nats=-0.1)
+        with pytest.raises(InvariantViolationError, match="outside"):
             PmlResult(value=1.5, method="exact-enumeration")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolationError, match="guesswork"):
             PmlResult(value=0.5, method="guesswork")
+
+    def test_slack_floor_is_minus_1e_9(self):
+        LeakageReport(0.5, 1.0, bound_nats=0.5 - 1e-9, slack_nats=-1e-9)
+        with pytest.raises(InvariantViolationError):
+            LeakageReport(0.5, 1.0, bound_nats=0.5 - 2e-9, slack_nats=-2e-9)
 
 
 class TestLessNoisyDomination:
@@ -567,7 +574,18 @@ class TestBestMatrixSearch:
         assert report.bound_nats is None
         assert report.leakage_nats <= 2 * LN2
 
+    def test_trial_seeds_come_a_block_at_a_time(self):
+        # Blocks of one generator's int64 draws equal one draw of them all,
+        # and a count too large to draw at once costs nothing up front.
+        rng = np.random.default_rng(3)
+        whole = rng.integers(0, 2**63, size=3 * leakage._CHUNK + 7, dtype=np.int64)
+        assert list(trial_seeds(3, len(whole))) == whole.tolist()
+        seeds = trial_seeds(3, 10**13)
+        assert [next(seeds) for _ in range(5)] == list(trial_seeds(3, 5))
+
     def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            trial_seeds(0, 0)
         with pytest.raises(ValueError):
             best_matrix_search(2, 5, 0.2, 0, 0)
         with pytest.raises(ValueError):
