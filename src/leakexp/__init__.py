@@ -14,7 +14,6 @@ from .errors import (
     SizeLimitError,
 )
 from .exponents import (
-    CurvePoint,
     CurveTable,
     OptResult,
     critical_rate,
@@ -63,7 +62,6 @@ __all__ = [
     "mc_p_ml_erasure",
     "best_matrix_search",
     "OptResult",
-    "CurvePoint",
     "CurveTable",
     "renyi_exponent",
     "random_coding_exponent",

@@ -17,16 +17,17 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .channels import ChannelSpec, parse_channel
 from .errors import InputParseError, InvariantViolationError
 from .exponents import (
-    LN2, CURVE_FAMILY, CURVE_KINDS, _bsc_delta, _fmt, critical_rate, curve, expurgation_rate,
+    LN2, CURVE_FAMILY, CURVE_KINDS, _bsc_delta, critical_rate, curve, expurgation_rate,
 )
-from .gf2 import BinMatrix, parse_matrix, random_matrix
+from .gf2 import BinMatrix, check_shape, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
     check_enum_cols,
@@ -45,15 +46,31 @@ _PRESETS = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write `text`, or rows as they are made, to stdout or to `out`. Rows go
+    to a temporary file beside `out` that replaces it once all are written,
+    so a run that fails partway leaves `out` as it was. Whole text, made
+    before its first byte is written, goes to `out` in place, as does any
+    output to a symlink, device or pipe, which a rename would swap for a
+    plain file."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
+    in_place = isinstance(text, str) or os.path.islink(out) or (
+        os.path.exists(out) and not os.path.isfile(out))
+    tmp = out if in_place else f"{out}.{os.getpid()}.tmp"
     try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputParseError(f"cannot write output file {out}: {exc}") from None
+        with open(tmp, "w", newline="\n") as fh:
+            fh.writelines(chunks)
+        if tmp != out:
+            os.replace(tmp, out)
+    except BaseException as exc:
+        if tmp != out and os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputParseError(f"cannot write output file {out}: {exc}") from None
+        raise
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -117,14 +134,16 @@ def _cmd_pml(args: argparse.Namespace) -> int:
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bec",))
     check_enum_cols(args.n)
-    lines = ["trial,leakage_nats,bound_nats,slack_nats"]
-    for t, s in enumerate(trial_seeds(args.seed, args.trials)):
-        report = exact_leakage_bec(random_matrix(args.k, args.n, s), spec.eps)
-        lines.append(
-            f"{t},{_fmt(report.leakage_nats)},{_fmt(report.bound_nats)},"
-            f"{_fmt(report.slack_nats)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    check_shape(args.k, args.n)  # every input is checked before the first row is written
+    seeds = trial_seeds(args.seed, args.trials)
+
+    def rows() -> Iterator[str]:
+        yield "trial,leakage_nats,bound_nats,slack_nats\n"
+        for t, s in enumerate(seeds):
+            rep = exact_leakage_bec(random_matrix(args.k, args.n, s), spec.eps)
+            yield "%d,%.12g,%.12g,%.12g\n" % (t, rep.leakage_nats, rep.bound_nats, rep.slack_nats)
+
+    _emit(rows(), args.out)
     return 0
 
 
@@ -226,7 +245,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         )
         leak = report.leakage_nats
         slope = math.inf if leak == 0.0 else -math.log(leak) / n
-        lines.append(f"{n},{k},{_fmt(leak)},{_fmt(slope)}")
+        lines.append("%d,%d,%.12g,%.12g" % (n, k, leak, slope))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

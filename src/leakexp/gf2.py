@@ -95,12 +95,15 @@ def rank(m: BinMatrix) -> int:
     return sum(insert_reduced(pivots, v) for v in m.bits)
 
 
+def check_shape(k: int, n: int) -> None:
+    """Raise ValueError unless a k x n hash has 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k} n={n}")
+
+
 def random_matrix(k: int, n: int, seed: int) -> BinMatrix:
     """I.i.d. uniform k x n matrix; identical (k, n, seed) is bit-identical everywhere."""
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k} n={n}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_shape(k, n)
     rng = np.random.default_rng(seed)
     ent = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
     rows = np.packbits(ent, axis=1, bitorder="little")

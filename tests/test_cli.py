@@ -199,6 +199,52 @@ class TestVerifyBoundCommand:
         assert code == 5 and "slack -0.1" in err
         assert out == "" and not dest.exists()
 
+    def test_failed_run_keeps_the_old_file(self, capsys, monkeypatch, tmp_path):
+        # Rows stream to a temporary file that replaces --out only on success.
+        slacks = iter([0.3, 0.3, -0.1])
+
+        def leaky(m, eps):
+            slack = next(slacks)
+            return leakage.LeakageReport(0.5 - slack, 1.0, bound_nats=0.5, slack_nats=slack)
+
+        monkeypatch.setattr(cli, "exact_leakage_bec", leaky)
+        dest = tmp_path / "v.csv"
+        dest.write_text("old\n")
+        code, out, err = run(
+            capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
+            "--trials", "3", "--out", str(dest),
+        )
+        assert code == 5 and out == "" and "slack -0.1" in err
+        assert os.listdir(tmp_path) == ["v.csv"] and dest.read_text() == "old\n"
+
+    def test_failed_run_on_stdout_keeps_the_rows_before_it(self, capsys, monkeypatch):
+        # Without --out, rows are printed as they are made.
+        slacks = iter([0.3, 0.3, -0.1])
+
+        def leaky(m, eps):
+            slack = next(slacks)
+            return leakage.LeakageReport(0.5 - slack, 1.0, bound_nats=0.5, slack_nats=slack)
+
+        monkeypatch.setattr(cli, "exact_leakage_bec", leaky)
+        code, out, err = run(
+            capsys, "verify-bound", "--k", "2", "--n", "4", "--channel", "bec:0.5",
+            "--trials", "3",
+        )
+        assert code == 5 and "slack -0.1" in err
+        assert out == "trial,leakage_nats,bound_nats,slack_nats\n0,0.2,0.5,0.3\n1,0.2,0.5,0.3\n"
+
+    @pytest.mark.parametrize("k, n", [(5, 3), (-1, 3)])
+    def test_bad_shape_exits_two_before_any_output(self, capsys, monkeypatch, k, n):
+        def refuse(*args):
+            raise AssertionError("random_matrix called for a bad shape")
+
+        monkeypatch.setattr(cli, "random_matrix", refuse)
+        code, out, err = run(
+            capsys, "verify-bound", "--k", str(k), "--n", str(n), "--channel", "bec:0.5",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: need 0 <= k <= n, got k={k} n={n}\n"
+
 
 @pytest.mark.parametrize("command, target, fields, message", [
     ("leakage", "exact_leakage_bec", (-0.1, LN2), "leakage cannot be negative"),
@@ -434,12 +480,32 @@ def test_size_cap_checked_before_drawing(capsys, monkeypatch, argv):
     ("rates", "--channel", "bsc:0.11", "--out", "{missing}/r.json"),
     ("exponents", "er-bec", "--channel", "bec:0.5", "--steps", "3", "--out", "{missing}/c.csv"),
     ("exponents", "--preset", "fig3", "--out", "{missing}"),
+    ("verify-bound", "--k", "1", "--n", "2", "--channel", "bec:0.5", "--out", "{missing}/v.csv"),
 ])
-def test_unwritable_out_exits_two(capsys, tmp_path, argv):
+def test_unwritable_out_exits_two(capsys, monkeypatch, tmp_path, argv):
+    # verify-bound streams its rows, so it opens its output before the first draw.
+    def refuse(*args):
+        raise AssertionError("random_matrix called before the output was opened")
+
+    monkeypatch.setattr(cli, "random_matrix", refuse)
     missing = tmp_path / "no-such-dir"
     code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write output file {missing}/")
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_streamed_rows_through_a_symlink_keep_the_link(capsys, tmp_path, existing):
+    # Streamed rows go through a symlink in place; a rename would replace it.
+    target, link = tmp_path / "t.csv", tmp_path / "l.csv"
+    if existing:
+        target.write_text("old\n")
+    link.symlink_to(target)
+    argv = ("verify-bound", "--k", "2", "--n", "6", "--channel", "bec:0.5", "--trials", "4")
+    code, out, _ = run(capsys, *argv, "--out", str(link))
+    assert code == 0 and out == "" and link.is_symlink()
+    assert target.read_text() == run(capsys, *argv)[1]
+    assert sorted(os.listdir(tmp_path)) == ["l.csv", "t.csv"]
 
 
 def console_script_code():

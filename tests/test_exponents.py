@@ -416,53 +416,54 @@ class TestCurve:
 
     def test_rates_strictly_increasing_and_endpoint_exact(self):
         table = curve("ex-bec", 0.5, 0.0, LN2, 37)
-        rs = [p.r_nats for p in table.points]
-        assert all(a < b for a, b in zip(rs, rs[1:]))
+        rs = table.r_nats
+        assert np.all(rs[:-1] < rs[1:])
         assert rs[0] == 0.0 and rs[-1] == LN2
 
     def test_clamp_floors_negative_values(self):
         raw = curve("ex-bec", 0.5, 0.0, LN2, 20)
         clamped = curve("ex-bec", 0.5, 0.0, LN2, 20, clamp=True)
-        assert min(p.value_nats for p in raw.points) < 0.0
-        assert min(p.value_nats for p in clamped.points) == 0.0
-        for a, b in zip(raw.points, clamped.points):
-            assert b.value_nats == max(0.0, a.value_nats)
-            assert b.theta_star == a.theta_star
+        assert raw.value_nats.min() < 0.0
+        assert clamped.value_nats.min() == 0.0
+        assert np.array_equal(clamped.value_nats, np.maximum(raw.value_nats, 0.0))
+        assert np.array_equal(clamped.theta_star, raw.theta_star)
 
     def test_erasure_curve_maps_channel_to_virtual_erasure(self):
         # channel parameter is the eavesdropper erasure probability eps;
         # the zero-rate value reflects delta = 1 - eps
         table = curve("ex-bec", 0.2, 0.0, 0.1, 2)
-        assert abs(table.points[0].value_nats - (-0.5 * math.log(0.8))) <= 1e-9
+        assert abs(table.value_nats[0] - (-0.5 * math.log(0.8))) <= 1e-9
 
     def test_er_curve_zero_tail(self):
         table = curve("er-bec", 0.5, 0.0, LN2, 80)
-        for p in table.points:
-            if p.r_nats >= 0.5 * LN2:
-                assert p.value_nats == 0.0 and p.theta_star == 0.0
+        tail = table.r_nats >= 0.5 * LN2
+        assert np.all(table.value_nats[tail] == 0.0)
+        assert np.all(table.theta_star[tail] == 0.0)
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
     def test_er_bec_tilt_near_closed_form_maximizer(self, eps):
         # theta* = log2(eps (ln 2 - R) / (R (1 - eps))) clipped to [0, 1]
-        for p in curve("er-bec", eps, 0.0, LN2, 200).points:
-            r = p.r_nats
+        table = curve("er-bec", eps, 0.0, LN2, 200)
+        for r, theta in zip(table.r_nats.tolist(), table.theta_star.tolist()):
             if r == 0.0:
                 expect = 1.0
             elif r == LN2:
                 expect = 0.0
             else:
                 expect = min(1.0, max(0.0, math.log2(eps * (LN2 - r) / (r * (1.0 - eps)))))
-            assert abs(p.theta_star - expect) <= 1e-12
+            assert abs(theta - expect) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.01, 0.11, 0.25, 0.4])
     def test_er_bsc_tilt_is_stationary(self, eps):
+        table = curve("er-bsc", eps, 0.0, LN2, 200)
         interior = [
-            p for p in curve("er-bsc", eps, 0.0, LN2, 200).points
-            if 0.0 < p.theta_star < 1.0
+            (theta, r)
+            for r, theta in zip(table.r_nats.tolist(), table.theta_star.tolist())
+            if 0.0 < theta < 1.0
         ]
         assert len(interior) >= 10
-        for p in interior:
-            assert abs(closed_forms.er_bsc_slope(p.theta_star, p.r_nats, eps)) <= 1e-13
+        for theta, r in interior:
+            assert abs(closed_forms.er_bsc_slope(theta, r, eps)) <= 1e-13
 
     @pytest.mark.parametrize(
         "kind, param, src, scalar",
@@ -477,11 +478,11 @@ class TestCurve:
     )
     def test_points_equal_scalar_calls_bit_for_bit(self, kind, param, src, scalar):
         table = curve(kind, param, 0.0, LN2, 101, src=src)
-        for p in table.points:
-            opt = scalar(p.r_nats)
-            assert p.value_nats.hex() == opt.value.hex()
-            assert p.theta_star.hex() == opt.theta_star.hex()
-        thetas = [p.theta_star for p in table.points]
+        thetas = table.theta_star.tolist()
+        for r, value, theta in zip(table.r_nats.tolist(), table.value_nats.tolist(), thetas):
+            opt = scalar(r)
+            assert value.hex() == opt.value.hex()
+            assert theta.hex() == opt.theta_star.hex()
         if kind.startswith("ex-"):
             # the rate-0 closed limit
             assert thetas[0] == math.inf and thetas[1] < math.inf
@@ -494,8 +495,7 @@ class TestCurve:
             curve("er-general", None, 0.0, LN2, 5)
         table = curve("er-general", None, 0.0, LN2, 5, src=bec_joint(0.5))
         ref = curve("er-bec", 0.5, 0.0, LN2, 5)
-        for a, b in zip(table.points, ref.points):
-            assert abs(a.value_nats - b.value_nats) <= 1e-9
+        assert np.all(abs(table.value_nats - ref.value_nats) <= 1e-9)
 
     def test_all_kinds_nonincreasing(self):
         cases = [
@@ -507,8 +507,8 @@ class TestCurve:
         ]
         for kind, param, src in cases:
             table = curve(kind, param, 0.0, LN2, 30, src=src)
-            vals = [p.value_nats for p in table.points]
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+            vals = table.value_nats
+            assert np.all(vals[:-1] >= vals[1:] - 1e-12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
