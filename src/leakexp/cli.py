@@ -239,7 +239,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     check_enum_cols(max(sizes))
     lines = ["n,k,best_leakage_nats,minus_log_leakage_over_n"]
     for n in sizes:
-        k = min(n, max(1, round(args.rate * n / LN2)))
+        # Every rate >= ln 2 takes k = n; capping it keeps rate * n finite.
+        k = min(n, max(1, round(min(args.rate, LN2) * n / LN2)))
         _, report = best_matrix_search(
             k, n, spec.eps, args.trials, args.seed, channel=spec.family
         )

@@ -2,6 +2,8 @@
 
 Rows are Python ints; bit j of a row int is the entry in column j+1.
 External column indices are 1-based, the packed representation is private.
+`reduced_basis` is the one elimination kernel over such rows: `rank` is its
+length, and the exact leakage paths take their row bases from it.
 """
 from __future__ import annotations
 
@@ -72,27 +74,25 @@ class BinMatrix:
         return tuple(cols)
 
 
-def insert_reduced(pivots: dict[int, int], v: int) -> bool:
-    """Reduce `v` against `pivots` (vectors keyed by their leading bit).
+def reduced_basis(m: BinMatrix) -> list[int]:
+    """The row space of `m` in reduced echelon form, sorted by leading bit.
 
-    A nonzero remainder joins `pivots` and the call returns True; False means
-    `v` already lay in their span. Insertion order is kept, so the dict's
-    values are a basis in the order it was found.
+    No vector has another's leading bit set. A row space has exactly one such
+    basis, so whatever is computed from it depends on the row space alone.
     """
-    while v:
-        p = v.bit_length() - 1
-        b = pivots.get(p)
-        if b is None:
-            pivots[p] = v
-            return True
-        v ^= b
-    return False
+    basis: list[int] = []
+    for v in m.bits:
+        for b in basis:
+            if v ^ b < v:  # exactly when v has b's leading bit
+                v ^= b
+        if v:
+            basis = [b ^ v if b ^ v < b else b for b in basis] + [v]
+    return sorted(basis)
 
 
 def rank(m: BinMatrix) -> int:
-    """Rank over GF(2) via row elimination; the empty matrix has rank 0."""
-    pivots: dict[int, int] = {}
-    return sum(insert_reduced(pivots, v) for v in m.bits)
+    """Rank over GF(2); the empty matrix has rank 0."""
+    return len(reduced_basis(m))
 
 
 def check_shape(k: int, n: int) -> None:

@@ -2,7 +2,8 @@
 
 The secret is S = X @ M^T for a uniform n-bit string X observed by the
 eavesdropper through a memoryless channel. Both channels see M through the
-2^r codewords of its row space (r = rank(M)). Erasure quantities reduce to
+2^r codewords of its row space (r = rank(M)), and every exact result depends
+on M through that space alone, bit for bit. Erasure quantities reduce to
 the ranks of random column subsets of M: each query takes the law of that
 rank once, in floats, and reads both leakage and decoding error from it, to
 1e-13 relative precision. For k <= 5 rows the law comes from a DP over the
@@ -13,8 +14,9 @@ profile counting the subsets by (rank, size), which a subset-sum transform
 over the codeword supports builds once per matrix: O(n 2^n) additions of
 nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit words as rank <= 8,
 <= 16 or more needs, then one histogram key per two sets.
-Bit-flip leakage needs only the codeword weights and one Walsh-Hadamard
-transform, O(r 2^r).
+Bit-flip leakage needs only the codeword weights, listed from B the reduced
+row basis (unique to the row space), and one Walsh-Hadamard transform,
+O(r 2^r).
 The Monte Carlo decoding error draws a chunk of samples at once and decides it
 in cache-sized blocks, by k branch-free pivot steps over the rows of M packed
 into one 32-bit word per sample for n <= 32, ceil(n/64) 64-bit words above.
@@ -36,9 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolationError, SizeLimitError
-# No exact path calls rank (the span law and the transform find ranks
-# themselves), but bench/spans.py wraps leakage.rank, so the name stays here.
-from .gf2 import BinMatrix, insert_reduced, random_matrix, rank  # noqa: F401
+from .gf2 import BinMatrix, random_matrix, rank, reduced_basis
 
 __all__ = [
     "LeakageReport",
@@ -258,10 +258,7 @@ def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
         return ((1,),) + ((0,),) * k
     # In reduced echelon form, sorted by leading bit, the basis spans its
     # codewords in increasing order, so the scatter writes memory in order.
-    basis = sorted(_row_basis(m))
-    for i, b in enumerate(basis):
-        top = 1 << (b.bit_length() - 1)
-        basis[i + 1:] = [v ^ b if v & top else v for v in basis[i + 1:]]
+    basis = reduced_basis(m)
     r = len(basis)
     lane = np.dtype(np.min_scalar_type((1 << r) - 1)).newbyteorder("<")
     a = np.zeros(max(1 << n, 8 // lane.itemsize), dtype=lane)
@@ -339,7 +336,7 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     check_enum_cols(m.cols)
     _check_prob("delta", delta)
     law = _kept_rank_law(m, delta)
-    return PmlResult(value=_error_mass(law, len(_row_basis(m))), method="exact-enumeration")
+    return PmlResult(value=_error_mass(law, rank(m)), method="exact-enumeration")
 
 
 def _wilson_halfwidth(value: float, samples: int) -> float:
@@ -464,7 +461,7 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     check_enum_cols(m.cols)
     _check_prob("eps", eps)
     n = m.cols
-    rnk = len(_row_basis(m))
+    rnk = rank(m)
     law = _kept_rank_law(m, 1.0 - eps)
     leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
     bound = n * _error_mass(law, rnk)
@@ -474,13 +471,6 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
         bound_nats=bound,
         slack_nats=bound - leakage,
     )
-
-
-def _row_basis(m: BinMatrix) -> list[int]:
-    pivots: dict[int, int] = {}
-    for v in m.bits:
-        insert_reduced(pivots, v)
-    return list(pivots.values())
 
 
 def _xor_span(values: list[int]) -> np.ndarray:
@@ -517,15 +507,15 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
 
     With X uniform, Z is uniform and the flip pattern V is independent of Z,
     so the leakage is the divergence from uniform of the law q of the
-    syndrome V @ B^T, B a row basis. Its Walsh-Hadamard coefficients are
-    (1-2eps)^wt(uB) (MacWilliams and Sloane, ch. 5); with e the transform of
-    those over the nonzero u, q = 2^-r (1 + e) and the leakage is
-    2^-r sum_s phi(e_s), phi(e) = (1+e) ln(1+e) - e >= 0: a sum of
-    nonnegative terms, so small leakages keep their relative precision.
+    syndrome V @ B^T, B the reduced row basis. Its Walsh-Hadamard
+    coefficients are (1-2eps)^wt(uB) (MacWilliams and Sloane, ch. 5); with e
+    the transform of those over the nonzero u, q = 2^-r (1 + e) and the
+    leakage is 2^-r sum_s phi(e_s), phi(e) = (1+e) ln(1+e) - e >= 0: a sum
+    of nonnegative terms, so small leakages keep their relative precision.
     """
     check_enum_cols(m.cols)
     _check_prob("eps", eps)
-    basis = _row_basis(m)
+    basis = reduced_basis(m)
     r = len(basis)
     weights = np.bitwise_count(_xor_span(basis))
     e = np.array(_pow_table(1.0 - 2.0 * eps, m.cols))[weights]

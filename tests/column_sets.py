@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from leakexp.gf2 import BinMatrix, insert_reduced
+from leakexp.gf2 import BinMatrix, rank
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,9 @@ def format_matrix(m: BinMatrix) -> str:
 def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> int:
     """Errors among mc_p_ml_erasure's samples, decided one sample at a time.
 
-    Replays the draws in one block and reduces each sample's kept columns, as
-    Python ints, against a growing basis: it holds at any n and shares neither
-    the word packing nor the chunking with the function it checks.
+    Replays the draws in one block and takes the rank of each sample's kept
+    columns, as Python ints: it holds at any n and shares neither the word
+    packing nor the chunking with the function it checks.
     """
     colints = m.column_ints()
     draws = np.random.default_rng(seed).random((samples, m.cols))
@@ -130,8 +130,7 @@ def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> in
     for u in draws:
         kept = tuple(j for j in range(m.cols) if u[j] >= delta)
         if kept not in decided:
-            pivots: dict[int, int] = {}
-            rnk = sum(insert_reduced(pivots, colints[j]) for j in kept)
-            decided[kept] = rnk < m.rows
+            kept_cols = BinMatrix(len(kept), m.rows, tuple(colints[j] for j in kept))
+            decided[kept] = rank(kept_cols) < m.rows
         errors += decided[kept]
     return errors

@@ -435,6 +435,14 @@ class TestScalingCommand:
         )
         assert code == 2
 
+    def test_rate_past_ln2_takes_k_equal_n(self, capsys):
+        # 1e308 * n / ln 2 overflows a float; any rate >= ln 2 gives k = n.
+        outs = [run(capsys, "scaling", "--rate", rate, "--n", "2,3", "--channel", "bec:0.5")
+                for rate in ("1e308", "1")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert [line.split(",")[:2] for line in outs[0][1].splitlines()[1:]] == [
+            ["2", "2"], ["3", "3"]]
+
     def test_non_finite_rate(self, capsys):
         code, out, err = run(capsys, "scaling", "--rate", "inf", "--n", "8",
                              "--channel", "bec:0.5")

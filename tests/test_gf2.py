@@ -8,13 +8,17 @@ The column-subset helpers the oracles of the other test modules use
 import numpy as np
 import pytest
 
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from leakexp.errors import InputParseError
 from leakexp.gf2 import (
     BinMatrix,
-    insert_reduced,
     parse_matrix,
     random_matrix,
     rank,
+    reduced_basis,
 )
 
 from column_sets import IndexSet, format_matrix, identity, submatrix_cols, to_rows
@@ -98,15 +102,29 @@ class TestRank:
         m = random_matrix(k, n, seed)
         assert rank(m) == rank_oracle(m)
 
-    def test_insert_reduced_grows_a_basis(self):
-        pivots: dict[int, int] = {}
-        assert insert_reduced(pivots, 0b0110)
-        assert insert_reduced(pivots, 0b0101)
-        assert not insert_reduced(pivots, 0b0011)  # sum of the first two
-        assert not insert_reduced(pivots, 0)
-        assert insert_reduced(pivots, 0b1000)
-        assert len(pivots) == 3
-        assert rank_oracle(BinMatrix(3, 4, tuple(pivots.values()))) == 3
+    def test_reduced_basis_known_value(self):
+        # 0011 is the sum of the first two rows; reduced against it, 0110 becomes 0101.
+        m = BinMatrix(5, 4, (0b0110, 0b0101, 0b0011, 0, 0b1000))
+        assert reduced_basis(m) == [0b0011, 0b0101, 0b1000]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(
+        st.one_of(st.integers(0, (1 << n) - 1), st.sampled_from([0, (1 << n) - 1])),
+        max_size=8,
+    ).map(lambda bits: BinMatrix(len(bits), n, tuple(bits)))))
+    @example(BinMatrix(0, 4, ()))
+    @example(BinMatrix(3, 0, (0, 0, 0)))
+    @example(BinMatrix(8, 3, (1, 2, 3, 4, 5, 6, 7, 7)))  # k > n
+    @example(BinMatrix(4, 6, (0b101100,) * 4))
+    def test_reduced_basis_is_the_echelon_form_of_the_row_space(self, m):
+        basis = reduced_basis(m)
+        leads = [b.bit_length() - 1 for b in basis]
+        assert basis == sorted(basis) and len(set(leads)) == len(leads)
+        assert 0 not in basis
+        for b in basis:
+            assert all(b == c or not (b >> lead) & 1 for c, lead in zip(basis, leads))
+        assert row_space(BinMatrix(len(basis), m.cols, tuple(basis))) == row_space(m)
+        assert len(basis) == rank_oracle(m) == rank(m)
 
     def test_known_values(self):
         assert rank(BinMatrix.from_rows(((1, 1), (1, 1)))) == 1

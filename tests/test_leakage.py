@@ -521,6 +521,37 @@ class TestSpanLaw:
             assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestRowSpaceInvariance:
+    """Invertible row operations keep the row space, and every exact result
+    with it, to the last bit: the span law for k <= 5, the rank profile from
+    k = 6 and the bit-flip transform all read the row space alone."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(pooled_matrices(1, 5, 18), pooled_matrices(6, 10, 18)),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=30),
+        st.permutations(range(10)),
+    )
+    @example(from_columns(3, [1, 2, 4, 3, 5, 6, 7, 0, 3]), [(1, 0), (2, 1)], range(9, -1, -1))
+    @example(from_columns(7, [1, 2, 4, 8, 16, 3, 0, 5]), [(0, 6), (6, 0)], range(10))
+    def test_row_operations_keep_every_bit(self, m, additions, order):
+        # Row i += row j for each distinct pair (i, j) mod k, then a shuffle.
+        k, bits = m.rows, list(m.bits)
+        for i, j in additions:
+            if i % k != j % k:
+                bits[i % k] ^= bits[j % k]
+        moved = BinMatrix(k, m.cols, tuple(bits[i] for i in order if i < k))
+        for eps in (1e-3, 0.11, 0.4):
+            for got, want in zip(self.results(moved, eps), self.results(m, eps)):
+                assert got.hex() == want.hex()
+
+    @staticmethod
+    def results(m: BinMatrix, eps: float) -> list[float]:
+        bec, bsc = exact_leakage_bec(m, eps), exact_leakage_bsc(m, eps)
+        return [bec.leakage_nats, bec.bound_nats, bsc.leakage_nats, bsc.hash_entropy_nats,
+                p_ml_erasure(m, eps).value]
+
+
 class TestBestMatrixSearch:
     def test_matches_replayed_trials(self):
         k, n, eps, trials, seed = 2, 5, 0.5, 30, 77
