@@ -22,9 +22,6 @@ from .exponents import (
     expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
-    random_coding_exponent_bec,
-    random_coding_exponent_bsc,
-    renyi_exponent,
 )
 from .gf2 import (
     BinMatrix,
@@ -63,10 +60,7 @@ __all__ = [
     "best_matrix_search",
     "OptResult",
     "CurveTable",
-    "renyi_exponent",
     "random_coding_exponent",
-    "random_coding_exponent_bec",
-    "random_coding_exponent_bsc",
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
     "critical_rate",

@@ -92,6 +92,10 @@ class ChannelSpec:
     family: str
     eps: float
 
+    def __post_init__(self) -> None:
+        if self.family not in ("bec", "bsc"):
+            raise ValueError(f"channel family must be 'bec' or 'bsc', got {self.family!r}")
+
     def joint(self) -> JointSource:
         return bec_joint(self.eps) if self.family == "bec" else bsc_joint(self.eps)
 

@@ -24,9 +24,7 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .channels import ChannelSpec, parse_channel
 from .errors import InputParseError, InvariantViolationError
-from .exponents import (
-    LN2, CURVE_FAMILY, CURVE_KINDS, _bsc_delta, critical_rate, curve, expurgation_rate,
-)
+from .exponents import LN2, CURVE_KINDS, bsc_delta, critical_rate, curve, expurgation_rate
 from .gf2 import BinMatrix, check_shape, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
@@ -38,11 +36,11 @@ from .leakage import (
     trial_seeds,
 )
 
-# Figure preset: channel probability and its (random-coding, expurgation) kinds.
+# Figure preset: channel and its (random-coding, expurgation) kinds.
 _PRESETS = {
-    "fig3": (0.5, ("er-bec", "ex-bec")),
-    "fig4": (0.11, ("er-bsc", "ex-bsc-reduction")),
-    "fig5": (0.25, ("er-bsc", "ex-bsc-reduction")),
+    "fig3": (ChannelSpec("bec", 0.5), ("er-bec", "ex-bec")),
+    "fig4": (ChannelSpec("bsc", 0.11), ("er-bsc", "ex-bsc-reduction")),
+    "fig5": (ChannelSpec("bsc", 0.25), ("er-bsc", "ex-bsc-reduction")),
 }
 
 
@@ -149,9 +147,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     spec = _channel(args)
-    m, report = best_matrix_search(
-        args.k, args.n, spec.eps, args.trials, args.seed, channel=spec.family
-    )
+    m, report = best_matrix_search(args.k, args.n, spec, args.trials, args.seed)
     _emit_json(
         {
             "k": args.k,
@@ -172,10 +168,10 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
     if args.preset is not None:
         if args.kind is not None:
             raise InputParseError("give either a curve kind or --preset, not both")
-        eps, kinds = _PRESETS[args.preset]
+        spec, kinds = _PRESETS[args.preset]
         out_dir = args.out if args.out is not None else "."
         for kind, stem in zip(kinds, ("er", "ex")):
-            table = curve(kind, eps, 0.0, LN2, 200, clamp=True)
+            table = curve(kind, spec, 0.0, LN2, 200, clamp=True)
             path = f"{out_dir}/{args.preset}_{stem}.csv"
             _emit(table.to_csv(), path)
             print(f"wrote {path}")
@@ -184,17 +180,7 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
         raise InputParseError("need a curve kind or --preset")
     if args.channel is None:
         raise InputParseError("curve evaluation needs --channel")
-    spec = _channel(args)
-    family = CURVE_FAMILY[args.kind]
-    if family not in (None, spec.family):
-        raise InputParseError(
-            f"curve kind {args.kind!r} needs a {family}:<eps> channel descriptor, "
-            f"got {spec.describe()!r}"
-        )
-    table = curve(
-        args.kind, spec.eps, args.rmin, args.rmax, args.steps,
-        clamp=args.clamp, src=spec.joint(),
-    )
+    table = curve(args.kind, _channel(args), args.rmin, args.rmax, args.steps, clamp=args.clamp)
     _emit(table.to_csv(), args.out)
     return 0
 
@@ -202,7 +188,7 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
 def _cmd_rates(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bsc",))
     eps = spec.eps
-    delta = _bsc_delta(eps)
+    delta = bsc_delta(eps)
     r_cr = critical_rate(eps)
     r_x = expurgation_rate(delta)
     if r_x > r_cr:
@@ -241,9 +227,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     for n in sizes:
         # Every rate >= ln 2 takes k = n; capping it keeps rate * n finite.
         k = min(n, max(1, round(min(args.rate, LN2) * n / LN2)))
-        _, report = best_matrix_search(
-            k, n, spec.eps, args.trials, args.seed, channel=spec.family
-        )
+        _, report = best_matrix_search(k, n, spec, args.trials, args.seed)
         leak = report.leakage_nats
         slope = math.inf if leak == 0.0 else -math.log(leak) / n
         lines.append("%d,%d,%.12g,%.12g" % (n, k, leak, slope))

@@ -30,18 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelSpec, JointSource, bec_joint, bsc_joint
+from .channels import ChannelSpec, JointSource
 from .errors import DegenerateParameterError, SizeLimitError
 
 __all__ = [
     "OptResult",
     "CurveTable",
-    "renyi_exponent",
     "random_coding_exponent",
-    "random_coding_exponent_bec",
-    "random_coding_exponent_bsc",
     "expurgation_exponent_bec",
     "expurgation_exponent_bsc",
+    "bsc_delta",
     "critical_rate",
     "expurgation_rate",
     "curve",
@@ -59,8 +57,8 @@ _MAX_CURVE_STEPS = 10**6
 _CSV_ROWS = 4096  # rows per % call in CurveTable.to_csv
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
 
-# Each curve kind and the channel family ('bec' or 'bsc') of the probability
-# it takes; None marks a kind that takes a JointSource instead.
+# Each curve kind and the channel family ('bec' or 'bsc') it takes; None marks
+# a kind that takes either.
 CURVE_FAMILY = {
     "er-general": None,
     "er-bec": "bec",
@@ -207,38 +205,18 @@ def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return theta, 0.0 - np.log1p(_tilt(terms, theta)[0]) - theta * rates
 
 
-def renyi_exponent(theta: float, src: JointSource) -> float:
-    """-ln sum_{x,z} P(x,z)^(1+theta) P(z)^(-theta), zero cells contributing 0.
-
-    Equals theta times a conditional Renyi entropy of order 1+theta; it
-    vanishes at theta = 0 and its slope there is H(X|Z).
-    """
-    if theta < 0.0:
-        raise ValueError("theta must be >= 0")
-    total = _tilt(_tilt_terms(src), np.array([theta]))[0]
-    return float((0.0 - np.log1p(total))[0])
-
-
 def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
-    """max over theta in [0, 1] of renyi_exponent(theta) - theta*rate.
+    """max over theta in [0, 1] of -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate.
 
-    Zero (at theta = 0) once the rate reaches H(X|Z)."""
+    The first term is theta times a conditional Renyi entropy of order
+    1+theta: -ln((1-eps) + eps*2^-theta) for an erasure channel,
+    -ln((1-eps)^(1+theta) + eps^(1+theta)) for a bit-flip one. It vanishes at
+    theta = 0 with slope H(X|Z) there, so the exponent is zero (at theta = 0)
+    once the rate reaches H(X|Z)."""
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
     theta, value = _max_tilt(_tilt_terms(src), np.array([rate]))
     return OptResult(float(value[0]), float(theta[0]), None, "max-theta")
-
-
-def random_coding_exponent_bec(rate: float, eps: float) -> OptResult:
-    """random_coding_exponent of an erasure channel; its objective is
-    -ln((1-eps) + eps*2^-theta) - theta*rate."""
-    return random_coding_exponent(rate, bec_joint(eps))
-
-
-def random_coding_exponent_bsc(rate: float, eps: float) -> OptResult:
-    """random_coding_exponent of a bit-flip channel; its objective is
-    -ln((1-eps)^(1+theta) + eps^(1+theta)) - theta*rate."""
-    return random_coding_exponent(rate, bsc_joint(eps))
 
 
 def _check_delta(delta: float) -> None:
@@ -313,7 +291,9 @@ def expurgation_exponent_bec(rate: float, delta: float) -> OptResult:
     return OptResult(float(value[0]), float(theta[0]), float(p[0]), form)
 
 
-def _bsc_delta(eps: float) -> float:
+def bsc_delta(eps: float) -> float:
+    """Erasure probability (1 - 2*eps)^2 of the erasure channel that dominates
+    a bit-flip channel with crossover eps in (0, 1/2)."""
     if not 0.0 < eps < 0.5:
         raise DegenerateParameterError(f"eps={eps} must lie strictly in (0, 1/2)")
     return (1.0 - 2.0 * eps) ** 2
@@ -322,12 +302,12 @@ def _bsc_delta(eps: float) -> float:
 def expurgation_exponent_bsc(rate: float, eps: float) -> OptResult:
     """Expurgation-style lower bound for a bit-flip side channel via its
     dominating erasure channel: delta = (1 - 2*eps)^2."""
-    return expurgation_exponent_bec(rate, _bsc_delta(eps))
+    return expurgation_exponent_bec(rate, bsc_delta(eps))
 
 
 def critical_rate(eps: float) -> float:
     """Largest rate at which the bit-flip random-coding optimizer sits at theta = 1."""
-    _bsc_delta(eps)  # raises on eps outside (0, 1/2)
+    bsc_delta(eps)  # raises on eps outside (0, 1/2)
     a = (1.0 - eps) ** 2
     b = eps * eps
     return -(a * math.log(1.0 - eps) + b * math.log(eps)) / (a + b)
@@ -345,48 +325,45 @@ def expurgation_rate(delta: float) -> float:
 
 def curve(
     kind: str,
-    channel_param: float | None,
+    channel: ChannelSpec,
     r_min: float,
     r_max: float,
     steps: int,
     clamp: bool = False,
-    src: JointSource | None = None,
 ) -> CurveTable:
     """Sample one exponent curve on `steps` evenly spaced rates in [r_min, r_max].
 
-    A kind with a family in CURVE_FAMILY reads `channel_param`, a probability
-    of that family; 'er-general' reads `src` instead. All rates are solved by
-    one batched root-find, each point equal to the scalar exponent function at
-    its rate.
+    The 'er-*' kinds read the joint source of `channel`, the 'ex-*' kinds its
+    virtual erasure probability: 1 - eps for an erasure channel, bsc_delta(eps)
+    for a bit-flip one. A kind with a family in CURVE_FAMILY takes only a
+    channel of that family. All rates are solved by one batched root-find,
+    each point equal to the scalar exponent function at its rate.
 
     With `clamp`, negative values are emitted as 0 (figure convention); the
     reported optimizer location is left untouched.
     """
+    if kind not in CURVE_FAMILY:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    family = CURVE_FAMILY[kind]
+    if family not in (None, channel.family):
+        raise ValueError(
+            f"curve kind {kind!r} needs a {family}:<eps> channel descriptor, "
+            f"got {channel.describe()!r}"
+        )
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if steps > _MAX_CURVE_STEPS:
         raise SizeLimitError(f"steps={steps} above the cap of {_MAX_CURVE_STEPS}")
     if not 0.0 <= r_min < r_max < math.inf:
         raise ValueError("need 0 <= r_min < r_max < inf")
-    if kind not in CURVE_FAMILY:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    family = CURVE_FAMILY[kind]
-    if family is None and src is None:
-        raise ValueError(f"kind {kind!r} needs a JointSource")
-    if family is not None and channel_param is None:
-        raise ValueError(f"kind {kind!r} needs a channel probability")
     rates = r_min + (r_max - r_min) * np.arange(steps) / (steps - 1)
     rates[-1] = r_max
-    if kind == "ex-bec":
-        # The parameter is the side-channel erasure probability; the virtual
-        # channel erases what the eavesdropper keeps.
-        theta, value, _ = _expurgation(rates, 1.0 - channel_param)
-    elif kind == "ex-bsc-reduction":
-        theta, value, _ = _expurgation(rates, _bsc_delta(channel_param))
+    if kind.startswith("ex-"):
+        # For an erasure channel the virtual one erases what the eavesdropper keeps.
+        delta = 1.0 - channel.eps if channel.family == "bec" else bsc_delta(channel.eps)
+        theta, value, _ = _expurgation(rates, delta)
     else:
-        if family is not None:
-            src = ChannelSpec(family, channel_param).joint()
-        theta, value = _max_tilt(_tilt_terms(src), rates)
+        theta, value = _max_tilt(_tilt_terms(channel.joint()), rates)
     if clamp:
         value = np.where(value < 0.0, 0.0, value)
     return CurveTable(rates, value, theta)

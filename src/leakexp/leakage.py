@@ -37,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channels import ChannelSpec
 from .errors import InvariantViolationError, SizeLimitError
 from .gf2 import BinMatrix, random_matrix, rank, reduced_basis
 
@@ -548,25 +549,25 @@ def trial_seeds(seed: int, trials: int) -> Iterator[int]:
 def best_matrix_search(
     k: int,
     n: int,
-    eps: float,
+    channel: ChannelSpec,
     trials: int,
     seed: int,
-    channel: str = "bec",
 ) -> tuple[BinMatrix, LeakageReport]:
     """Smallest exact leakage over `trials` seeded random k x n matrices.
 
     Candidates of full rank k are preferred (a rank-deficient hash trivially
-    leaks little but wastes output bits); ties keep the first occurrence.
-    Falls back to the overall best only if no trial has full rank.
+    leaks little but wastes output bits). Ties are decided on the rounded
+    leakages, the first of equal floats kept; on a bit-flip channel,
+    equivalent codes of equal exact leakage can round tens of ulps apart, so
+    a later one can win. Falls back to the overall best only if no trial has
+    full rank.
     """
-    if channel not in ("bec", "bsc"):
-        raise ValueError(f"channel must be 'bec' or 'bsc', got {channel!r}")
     check_enum_cols(n)
-    evaluate = exact_leakage_bec if channel == "bec" else exact_leakage_bsc
+    evaluate = exact_leakage_bec if channel.family == "bec" else exact_leakage_bsc
 
     def trial(s: int) -> tuple[BinMatrix, LeakageReport]:
         cand = random_matrix(k, n, s)
-        return cand, evaluate(cand, eps)
+        return cand, evaluate(cand, channel.eps)
 
     # rank(cand) == k exactly when its hash entropy is k ln 2; min keeps the
     # first of equal keys.

@@ -21,8 +21,6 @@ from leakexp.exponents import (
     expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
-    random_coding_exponent_bec,
-    random_coding_exponent_bsc,
 )
 from leakexp.gf2 import random_matrix
 from leakexp.leakage import exact_leakage_bec, exact_leakage_bsc
@@ -151,7 +149,7 @@ def test_06_reduction_interval_agreement():
         line = -math.log((1 - eps) ** 2 + eps**2)
         worst_pair = worst_line = 0.0
         for r in grid(rx, rcr, 25):
-            er = random_coding_exponent_bsc(r, eps).value
+            er = random_coding_exponent(r, bsc_joint(eps)).value
             ex = expurgation_exponent_bsc(r, eps).value
             worst_pair = max(worst_pair, abs(er - ex))
             worst_line = max(worst_line, abs(er - (line - r)), abs(ex - (line - r)))
@@ -161,7 +159,7 @@ def test_06_reduction_interval_agreement():
             low_gap = min(
                 low_gap,
                 expurgation_exponent_bsc(r, eps).value
-                - random_coding_exponent_bsc(r, eps).value,
+                - random_coding_exponent(r, bsc_joint(eps)).value,
             )
         ok &= low_gap >= 1e-6
         details.append(
@@ -174,9 +172,9 @@ def test_06_reduction_interval_agreement():
 
 def test_07a_low_rate_dominance_anchors():
     ex0 = expurgation_exponent_bec(0.0, 0.5).value
-    er0 = random_coding_exponent_bec(0.0, 0.5).value
+    er0 = random_coding_exponent(0.0, bec_joint(0.5)).value
     gap = (expurgation_exponent_bec(0.05, 0.5).value
-           - random_coding_exponent_bec(0.05, 0.5).value)
+           - random_coding_exponent(0.05, bec_joint(0.5)).value)
     ok = abs(ex0 - 0.346574) <= 1e-6 and abs(er0 - 0.287682) <= 1e-6 and gap >= 1e-6
     report(7, ok,
            f"zero-rate anchors hold (expurgation {ex0:.6f}, random-coding {er0:.6f}) "
@@ -193,7 +191,7 @@ def test_07b_dominance_everywhere_on_full_rate_range():
     worst = (0.0, math.inf)
     for r in grid(0.0, LN2, 200):
         ex = max(0.0, expurgation_exponent_bec(r, 0.5).value)
-        er = max(0.0, random_coding_exponent_bec(r, 0.5).value)
+        er = max(0.0, random_coding_exponent(r, bec_joint(0.5)).value)
         if ex - er < worst[1]:
             worst = (r, ex - er)
     ok = worst[1] >= -1e-12
@@ -205,15 +203,13 @@ def test_07b_dominance_everywhere_on_full_rate_range():
 def test_08_random_coding_zero_beyond_conditional_entropy():
     ok = True
     details = []
-    cases = [("erasure", e, e * LN2, random_coding_exponent_bec)
-             for e in (0.11, 0.25, 0.5)]
-    cases += [("bit-flip", e, h2(e), random_coding_exponent_bsc)
-              for e in (0.11, 0.25)]
-    for name, eps, hxz, fn in cases:
+    cases = [("erasure", e, e * LN2, bec_joint) for e in (0.11, 0.25, 0.5)]
+    cases += [("bit-flip", e, h2(e), bsc_joint) for e in (0.11, 0.25)]
+    for name, eps, hxz, joint in cases:
         rs = grid(0.0, LN2, 100)
         step = rs[1] - rs[0]
         for r in rs:
-            v = fn(r, eps).value
+            v = random_coding_exponent(r, joint(eps)).value
             if r >= hxz:
                 ok &= v == 0.0
             elif r <= hxz - step:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from leakexp.channels import (
+    ChannelSpec,
     JointSource,
     Z_ERASED,
     Z_ONE,
@@ -83,6 +84,12 @@ class TestParseChannel:
     def test_joint_dispatch(self):
         assert len(parse_channel("bec:0.2").joint().z_alphabet) == 3
         assert len(parse_channel("bsc:0.2").joint().z_alphabet) == 2
+
+    @pytest.mark.parametrize("family", ["awgn", "BEC", "", "bec "])
+    def test_spec_rejects_other_families(self, family):
+        # Only the two families exist, so joint() has no third branch to reach.
+        with pytest.raises(ValueError, match="channel family must be 'bec' or 'bsc'"):
+            ChannelSpec(family, 0.2)
 
     @pytest.mark.parametrize(
         "bad", ["bez:0.4", "bec", "bec:", "bec:x", "bec:-0.1", "bsc:1.5", ":0.3"]

@@ -7,6 +7,7 @@ entry points: they run the target declared in pyproject.toml
 File outputs are compared byte for byte where determinism is part of the
 contract.
 """
+import ast
 import io
 import json
 import math
@@ -25,6 +26,18 @@ from leakexp.cli import main
 LN2 = math.log(2.0)
 REPO = Path(__file__).resolve().parents[1]
 SUBPROCESS_TIMEOUT = 60.0
+
+
+def test_cli_imports_only_public_library_names():
+    # The CLI formats; whatever it needs from the library is public API.
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or node.module.split(".")[0] == "leakexp"
+        ):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            private += [name for name in names if name.startswith("_") and not name.endswith("__")]
+    assert private == []
 
 
 @pytest.fixture

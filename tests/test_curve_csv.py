@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakexp.channels import ChannelSpec
 from leakexp.exponents import _CSV_ROWS, CurveTable, curve
 
 LN2 = math.log(2.0)
@@ -63,7 +64,7 @@ def test_to_csv_matches_row_by_row_reference(cols):
 def test_columns_are_read_only():
     tables = [
         CurveTable(np.array([0.0, 0.5]), np.array([0.3, 0.1]), np.array([math.inf, 1.0])),
-        curve("ex-bec", 0.5, 0.0, LN2, 5),
+        curve("ex-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 5),
     ]
     for table in tables:
         for col in (table.r_nats, table.value_nats, table.theta_star):

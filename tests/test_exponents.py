@@ -15,10 +15,11 @@ import pytest
 
 import closed_forms
 from leakexp import exponents
-from leakexp.channels import bec_joint, bsc_joint, parse_channel
+from leakexp.channels import ChannelSpec, bec_joint, bsc_joint, parse_channel
 from leakexp.errors import DegenerateParameterError, SizeLimitError
 from leakexp.exponents import (
     _decreasing_root,
+    _tilt,
     _tilt_terms,
     critical_rate,
     curve,
@@ -26,12 +27,15 @@ from leakexp.exponents import (
     expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
-    random_coding_exponent_bec,
-    random_coding_exponent_bsc,
-    renyi_exponent,
 )
 
 LN2 = math.log(2.0)
+
+
+def renyi_exponent(theta: float, src) -> float:
+    """-ln sum_{x,z} P(x,z) P(x|z)^theta, the first term of the random-coding
+    objective, from the library's one evaluator of the tilted source."""
+    return float(0.0 - np.log1p(_tilt(_tilt_terms(src), np.array([theta]))[0])[0])
 
 
 def h2(p: float) -> float:
@@ -157,20 +161,16 @@ class TestRenyiExponent:
             ref = float(-total.ln())
         assert abs(renyi_exponent(theta, src) - ref) <= 1e-14 * ref
 
-    def test_negative_tilt_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_exponent(-0.1, bec_joint(0.3))
-
 
 class TestRandomCodingExponent:
     def test_zero_rate_erasure_half(self):
-        got = random_coding_exponent_bec(0.0, 0.5)
+        got = random_coding_exponent(0.0, bec_joint(0.5))
         assert abs(got.value - 0.287682072452) <= 1e-9
         assert got.theta_star == 1.0
         assert got.form == "max-theta"
 
     def test_zero_rate_bitflip(self):
-        got = random_coding_exponent_bsc(0.0, 0.11)
+        got = random_coding_exponent(0.0, bsc_joint(0.11))
         assert abs(got.value - (-math.log(0.89**2 + 0.11**2))) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
@@ -188,25 +188,25 @@ class TestRandomCodingExponent:
             assert abs(a - closed_forms.er_bsc(r, eps)) <= 1e-9
 
     def test_vanishes_exactly_beyond_conditional_entropy(self):
-        got = random_coding_exponent_bec(0.5 * LN2 + 1e-3, 0.5)
+        got = random_coding_exponent(0.5 * LN2 + 1e-3, bec_joint(0.5))
         assert got.value == 0.0 and got.theta_star == 0.0
-        got = random_coding_exponent_bsc(h2(0.11) + 1e-3, 0.11)
+        got = random_coding_exponent(h2(0.11) + 1e-3, bsc_joint(0.11))
         assert got.value == 0.0 and got.theta_star == 0.0
 
     def test_tilt_stays_in_unit_interval(self):
         for r in grid(0.0, LN2, 20):
-            t = random_coding_exponent_bsc(r, 0.25).theta_star
+            t = random_coding_exponent(r, bsc_joint(0.25)).theta_star
             assert 0.0 <= t <= 1.0
 
     def test_nonincreasing_in_rate(self):
-        vals = [random_coding_exponent_bec(r, 0.5).value for r in grid(0.0, LN2, 40)]
+        vals = [random_coding_exponent(r, bec_joint(0.5)).value for r in grid(0.0, LN2, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            random_coding_exponent_bec(-0.1, 0.5)
-        with pytest.raises(ValueError):
             random_coding_exponent(-0.1, bec_joint(0.5))
+        with pytest.raises(ValueError):
+            random_coding_exponent(-0.1, bsc_joint(0.5))
 
 
 class TestExpurgationExponent:
@@ -350,7 +350,7 @@ class TestReductionExponent:
             for r in grid(lo, hi, 12):
                 expect = -math.log((1 - eps) ** 2 + eps**2) - r
                 assert abs(expurgation_exponent_bsc(r, eps).value - expect) <= 1e-9
-                assert abs(random_coding_exponent_bsc(r, eps).value - expect) <= 1e-9
+                assert abs(random_coding_exponent(r, bsc_joint(eps)).value - expect) <= 1e-9
 
     def test_zero_rate_quarter(self):
         got = expurgation_exponent_bsc(0.0, 0.25)
@@ -383,8 +383,8 @@ class TestCharacteristicRates:
     def test_critical_rate_transition(self):
         for eps in (0.11, 0.25):
             rc = critical_rate(eps)
-            assert random_coding_exponent_bsc(rc - 0.01, eps).theta_star == 1.0
-            assert random_coding_exponent_bsc(rc + 0.01, eps).theta_star < 1.0 - 1e-6
+            assert random_coding_exponent(rc - 0.01, bsc_joint(eps)).theta_star == 1.0
+            assert random_coding_exponent(rc + 0.01, bsc_joint(eps)).theta_star < 1.0 - 1e-6
 
     def test_critical_rate_limit_toward_half(self):
         assert abs(critical_rate(0.4999999) - LN2) <= 1e-5
@@ -407,7 +407,7 @@ class TestCharacteristicRates:
 
 class TestCurve:
     def test_header_and_formatting(self):
-        table = curve("er-bec", 0.5, 0.0, LN2, 3)
+        table = curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 3)
         text = table.to_csv()
         lines = text.split("\n")
         assert lines[0] == "R_nats,value_nats,R_bits,value_bits,theta_star"
@@ -415,14 +415,14 @@ class TestCurve:
         assert text.endswith("\n") and "\r" not in text
 
     def test_rates_strictly_increasing_and_endpoint_exact(self):
-        table = curve("ex-bec", 0.5, 0.0, LN2, 37)
+        table = curve("ex-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 37)
         rs = table.r_nats
         assert np.all(rs[:-1] < rs[1:])
         assert rs[0] == 0.0 and rs[-1] == LN2
 
     def test_clamp_floors_negative_values(self):
-        raw = curve("ex-bec", 0.5, 0.0, LN2, 20)
-        clamped = curve("ex-bec", 0.5, 0.0, LN2, 20, clamp=True)
+        raw = curve("ex-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 20)
+        clamped = curve("ex-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 20, clamp=True)
         assert raw.value_nats.min() < 0.0
         assert clamped.value_nats.min() == 0.0
         assert np.array_equal(clamped.value_nats, np.maximum(raw.value_nats, 0.0))
@@ -431,11 +431,11 @@ class TestCurve:
     def test_erasure_curve_maps_channel_to_virtual_erasure(self):
         # channel parameter is the eavesdropper erasure probability eps;
         # the zero-rate value reflects delta = 1 - eps
-        table = curve("ex-bec", 0.2, 0.0, 0.1, 2)
+        table = curve("ex-bec", ChannelSpec("bec", 0.2), 0.0, 0.1, 2)
         assert abs(table.value_nats[0] - (-0.5 * math.log(0.8))) <= 1e-9
 
     def test_er_curve_zero_tail(self):
-        table = curve("er-bec", 0.5, 0.0, LN2, 80)
+        table = curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 80)
         tail = table.r_nats >= 0.5 * LN2
         assert np.all(table.value_nats[tail] == 0.0)
         assert np.all(table.theta_star[tail] == 0.0)
@@ -443,7 +443,7 @@ class TestCurve:
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
     def test_er_bec_tilt_near_closed_form_maximizer(self, eps):
         # theta* = log2(eps (ln 2 - R) / (R (1 - eps))) clipped to [0, 1]
-        table = curve("er-bec", eps, 0.0, LN2, 200)
+        table = curve("er-bec", ChannelSpec("bec", eps), 0.0, LN2, 200)
         for r, theta in zip(table.r_nats.tolist(), table.theta_star.tolist()):
             if r == 0.0:
                 expect = 1.0
@@ -455,7 +455,7 @@ class TestCurve:
 
     @pytest.mark.parametrize("eps", [0.01, 0.11, 0.25, 0.4])
     def test_er_bsc_tilt_is_stationary(self, eps):
-        table = curve("er-bsc", eps, 0.0, LN2, 200)
+        table = curve("er-bsc", ChannelSpec("bsc", eps), 0.0, LN2, 200)
         interior = [
             (theta, r)
             for r, theta in zip(table.r_nats.tolist(), table.theta_star.tolist())
@@ -468,16 +468,19 @@ class TestCurve:
     @pytest.mark.parametrize(
         "kind, param, src, scalar",
         [
-            ("er-general", None, bsc_joint(0.11),
+            # er-general takes a channel of either family, given in full; a
+            # family kind gives only its probability.
+            ("er-general", None, ChannelSpec("bsc", 0.11),
              lambda r: random_coding_exponent(r, bsc_joint(0.11))),
-            ("er-bec", 0.3, None, lambda r: random_coding_exponent_bec(r, 0.3)),
-            ("er-bsc", 0.11, None, lambda r: random_coding_exponent_bsc(r, 0.11)),
+            ("er-bec", 0.3, None, lambda r: random_coding_exponent(r, bec_joint(0.3))),
+            ("er-bsc", 0.11, None, lambda r: random_coding_exponent(r, bsc_joint(0.11))),
             ("ex-bec", 0.3, None, lambda r: expurgation_exponent_bec(r, 0.7)),
             ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bsc(r, 0.11)),
         ],
     )
     def test_points_equal_scalar_calls_bit_for_bit(self, kind, param, src, scalar):
-        table = curve(kind, param, 0.0, LN2, 101, src=src)
+        channel = src or ChannelSpec(exponents.CURVE_FAMILY[kind], param)
+        table = curve(kind, channel, 0.0, LN2, 101)
         thetas = table.theta_star.tolist()
         for r, value, theta in zip(table.r_nats.tolist(), table.value_nats.tolist(), thetas):
             opt = scalar(r)
@@ -490,34 +493,54 @@ class TestCurve:
             # the zero tail beyond the conditional entropy
             assert thetas[-1] == 0.0 and thetas[0] == 1.0
 
-    def test_general_kind_needs_source(self):
-        with pytest.raises(ValueError):
-            curve("er-general", None, 0.0, LN2, 5)
-        table = curve("er-general", None, 0.0, LN2, 5, src=bec_joint(0.5))
-        ref = curve("er-bec", 0.5, 0.0, LN2, 5)
+    @pytest.mark.parametrize("channel", ["bec:0.5", "bsc:0.11"])
+    def test_general_kind_takes_either_family(self, channel):
+        spec = parse_channel(channel)
+        table = curve("er-general", spec, 0.0, LN2, 5)
+        ref = curve("er-" + spec.family, spec, 0.0, LN2, 5)
         assert np.all(abs(table.value_nats - ref.value_nats) <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, channel, message",
+        [
+            ("er-bec", "bsc:0.25", "curve kind 'er-bec' needs a bec:<eps> channel "
+             "descriptor, got 'bsc:0.25'"),
+            ("er-bsc", "bec:0.5", "curve kind 'er-bsc' needs a bsc:<eps> channel "
+             "descriptor, got 'bec:0.5'"),
+            ("ex-bec", "bsc:0.11", "curve kind 'ex-bec' needs a bec:<eps> channel "
+             "descriptor, got 'bsc:0.11'"),
+            ("ex-bsc-reduction", "bec:1", "curve kind 'ex-bsc-reduction' needs a "
+             "bsc:<eps> channel descriptor, got 'bec:1'"),
+        ],
+    )
+    def test_family_mismatch_is_checked_first(self, kind, channel, message):
+        # The CLI prints this message as it stands; it comes before the
+        # step, rate and channel-parameter checks.
+        with pytest.raises(ValueError) as info:
+            curve(kind, parse_channel(channel), 0.5, 0.1, 1)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_all_kinds_nonincreasing(self):
         cases = [
-            ("er-bec", 0.5, None),
-            ("er-bsc", 0.25, None),
-            ("ex-bec", 0.5, None),
-            ("ex-bsc-reduction", 0.25, None),
-            ("er-general", None, bsc_joint(0.25)),
+            ("er-bec", "bec:0.5"),
+            ("er-bsc", "bsc:0.25"),
+            ("ex-bec", "bec:0.5"),
+            ("ex-bsc-reduction", "bsc:0.25"),
+            ("er-general", "bsc:0.25"),
         ]
-        for kind, param, src in cases:
-            table = curve(kind, param, 0.0, LN2, 30, src=src)
+        for kind, channel in cases:
+            table = curve(kind, parse_channel(channel), 0.0, LN2, 30)
             vals = table.value_nats
             assert np.all(vals[:-1] >= vals[1:] - 1e-12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            curve("er-armageddon", 0.5, 0.0, LN2, 5)
+            curve("er-armageddon", ChannelSpec("bec", 0.5), 0.0, LN2, 5)
         with pytest.raises(ValueError):
-            curve("er-bec", 0.5, 0.5, 0.1, 5)
+            curve("er-bec", ChannelSpec("bec", 0.5), 0.5, 0.1, 5)
         with pytest.raises(ValueError):
-            curve("er-bec", 0.5, 0.0, LN2, 1)
+            curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 1)
         with pytest.raises(DegenerateParameterError):
-            curve("ex-bec", 1.0, 0.0, LN2, 5)
+            curve("ex-bec", ChannelSpec("bec", 1.0), 0.0, LN2, 5)
         with pytest.raises(SizeLimitError):
-            curve("er-bec", 0.5, 0.0, LN2, exponents._MAX_CURVE_STEPS + 1)
+            curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, exponents._MAX_CURVE_STEPS + 1)

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakexp import leakage
-from leakexp.channels import bec_joint, bsc_joint
+from leakexp.channels import ChannelSpec, bec_joint, bsc_joint
 from leakexp.errors import InvariantViolationError, SizeLimitError
 from leakexp.gf2 import BinMatrix, parse_matrix, random_matrix, rank
 from leakexp.leakage import (
@@ -555,7 +555,7 @@ class TestRowSpaceInvariance:
 class TestBestMatrixSearch:
     def test_matches_replayed_trials(self):
         k, n, eps, trials, seed = 2, 5, 0.5, 30, 77
-        best, report = best_matrix_search(k, n, eps, trials, seed)
+        best, report = best_matrix_search(k, n, ChannelSpec("bec", eps), trials, seed)
         seeds = np.random.default_rng(seed).integers(0, 2**63, size=trials, dtype=np.int64)
         candidates = [random_matrix(k, n, int(s)) for s in seeds]
         full = [
@@ -578,7 +578,7 @@ class TestBestMatrixSearch:
         # weight-1 one leaks more.
         rows = [[[1, 0, 0]], [[1, 1, 0]], [[0, 1, 1]], [[1, 0, 1]]]
         self.draw_in_order(monkeypatch, rows)
-        best, report = best_matrix_search(1, 3, 0.5, len(rows), 0)
+        best, report = best_matrix_search(1, 3, ChannelSpec("bec", 0.5), len(rows), 0)
         assert best == BinMatrix.from_rows(rows[1])
         assert report.leakage_nats == exact_leakage_bec(best, 0.5).leakage_nats
 
@@ -590,18 +590,18 @@ class TestBestMatrixSearch:
             [[1, 0, 0], [0, 0, 0]],
         ]
         self.draw_in_order(monkeypatch, rows)
-        best, report = best_matrix_search(2, 3, 0.5, len(rows), 0)
+        best, report = best_matrix_search(2, 3, ChannelSpec("bec", 0.5), len(rows), 0)
         assert best == BinMatrix.from_rows(rows[1])
         assert report.hash_entropy_nats == LN2
         assert abs(report.leakage_nats - LN2 * 0.5**3) <= 1e-15
 
     def test_deterministic(self):
-        a = best_matrix_search(2, 6, 0.4, 10, 3)
-        b = best_matrix_search(2, 6, 0.4, 10, 3)
+        a = best_matrix_search(2, 6, ChannelSpec("bec", 0.4), 10, 3)
+        b = best_matrix_search(2, 6, ChannelSpec("bec", 0.4), 10, 3)
         assert a[0] == b[0] and a[1].leakage_nats == b[1].leakage_nats
 
     def test_bsc_channel(self):
-        best, report = best_matrix_search(2, 5, 0.2, 10, 9, channel="bsc")
+        best, report = best_matrix_search(2, 5, ChannelSpec("bsc", 0.2), 10, 9)
         assert report.bound_nats is None
         assert report.leakage_nats <= 2 * LN2
 
@@ -618,6 +618,6 @@ class TestBestMatrixSearch:
         with pytest.raises(ValueError):
             trial_seeds(0, 0)
         with pytest.raises(ValueError):
-            best_matrix_search(2, 5, 0.2, 0, 0)
+            best_matrix_search(2, 5, ChannelSpec("bec", 0.2), 0, 0)
         with pytest.raises(ValueError):
-            best_matrix_search(2, 5, 0.2, 5, 0, channel="awgn")
+            best_matrix_search(2, 5, ChannelSpec("awgn", 0.2), 5, 0)

@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written."""
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(block, tmp_path, monkeypatch):
+    # Blocks may write files; they write them into a fresh directory.
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
