@@ -100,7 +100,10 @@ class ChannelSpec:
         return bec_joint(self.eps) if self.family == "bec" else bsc_joint(self.eps)
 
     def describe(self) -> str:
-        return f"{self.family}:{self.eps:g}"
+        """'family:eps', eps as `:g` writes it where that reads back as the
+        same float, else as repr, so the text names the value in use."""
+        short = f"{self.eps:g}"
+        return f"{self.family}:{short if float(short) == self.eps else repr(self.eps)}"
 
 
 def parse_channel(descriptor: str) -> ChannelSpec:

@@ -44,18 +44,18 @@ _PRESETS = {
 }
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write `text`, or rows as they are made, to stdout or to `out`. Rows go
-    to a temporary file beside `out` that replaces it once all are written,
-    so a run that fails partway leaves `out` as it was. Whole text, made
-    before its first byte is written, goes to `out` in place, as does any
-    output to a symlink, device or pipe, which a rename would swap for a
-    plain file."""
+def _emit(text: str | Iterable[str], out: str | None, staged: bool = False) -> None:
+    """Write `text`, or its pieces in order, to stdout or to `out`. Text made
+    before its first byte is written goes to `out` in place. `staged` rows,
+    made as they are written, go to a temporary file beside `out` that
+    replaces it once all are written, so a run that fails partway leaves
+    `out` as it was; output to a symlink, device or pipe, which a rename
+    would swap for a plain file, still goes in place."""
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
         return
-    in_place = isinstance(text, str) or os.path.islink(out) or (
+    in_place = not staged or os.path.islink(out) or (
         os.path.exists(out) and not os.path.isfile(out))
     tmp = out if in_place else f"{out}.{os.getpid()}.tmp"
     try:
@@ -141,7 +141,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
             rep = exact_leakage_bec(random_matrix(args.k, args.n, s), spec.eps)
             yield "%d,%.12g,%.12g,%.12g\n" % (t, rep.leakage_nats, rep.bound_nats, rep.slack_nats)
 
-    _emit(rows(), args.out)
+    _emit(rows(), args.out, staged=True)
     return 0
 
 

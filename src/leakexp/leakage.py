@@ -17,9 +17,10 @@ nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit words as rank <= 8,
 Bit-flip leakage needs only the codeword weights, listed from B the reduced
 row basis (unique to the row space), and one Walsh-Hadamard transform,
 O(r 2^r).
-The Monte Carlo decoding error draws a chunk of samples at once and decides it
-in cache-sized blocks, by k branch-free pivot steps over the rows of M packed
-into one 32-bit word per sample for n <= 32, ceil(n/64) 64-bit words above.
+The Monte Carlo decoding error takes its samples in cache-sized blocks, each
+drawn, packed and decided before the next, by k branch-free pivot steps over
+the rows of M packed into one 32-bit word per sample for n <= 32, ceil(n/64)
+64-bit words above.
 
 Reports check their invariants when built (leakage in [0, entropy], slack
 >= -1e-9, P_ML in [0, 1]), raising InvariantViolationError on an internal fault.
@@ -55,15 +56,13 @@ LN2 = math.log(2.0)
 
 _ENUM_MAX_COLS = 26
 _SLACK_FLOOR = -1e-9
-# The most draws (16 MB of floats) or packed words one Monte Carlo chunk may
-# hold: 65536 samples for n <= 32 columns, fewer for wider matrices. A chunk is
-# drawn and packed at once, then decided a block at a time.
-_MC_CHUNK_ENTRIES = 1 << 21
-# Words (k rows times the words of a sample) in one block of a chunk, which
-# takes all k pivot steps before the next block starts. A block of 2^17 and
-# the temporary of a step stay in a 2 MB per-core L2 cache, a whole chunk need
-# not: at 10x20, 50 000 samples, the steps took 2.4-2.7 ms blocked against
+# Words (k rows times the words of a sample) in one Monte Carlo block, which is
+# drawn, packed and takes all k pivot steps before the next block starts. A
+# block of 2^17 words and the temporary of a step stay in a 2 MB per-core L2
+# cache: at 10x20, 50 000 samples, the steps took 2.4-2.7 ms blocked against
 # 3.0-3.4 ms unblocked (2-vCPU VM; 4.5-5.7 against 6.6-7.7 ms in 64-bit lanes).
+# A block also holds at most 4 * 2^17 draws (4 MB of floats) and 2^15 samples,
+# so a call's arrays stay within about 5 MB at any n.
 _MC_BLOCK_WORDS = 1 << 17
 # Entries, or 64-bit words, of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
@@ -400,11 +399,13 @@ def mc_p_ml_erasure(m: BinMatrix, delta: float, samples: int, seed: int) -> PmlR
     Wilson interval; identical (matrix, delta, samples, seed) reproduces exactly.
 
     Each sample keeps column j when its uniform draw u_j >= delta and is an
-    error when the kept columns have rank below k. A chunk of samples is drawn
-    at once and decided a block at a time: the kept columns, packed into one
-    32-bit word for n <= 32 and ceil(n/64) 64-bit words above, mask the rows
-    of M, and _dependent_rows runs k pivot steps over the block. The cost is
-    O(k^2 ceil(n/64)) word operations per sample, at any n.
+    error when the kept columns have rank below k. One loop takes a block of
+    samples at a time: it draws them, packs the kept columns into one 32-bit
+    word for n <= 32 and ceil(n/64) 64-bit words above, masks the rows of M
+    with them, and _dependent_rows runs k pivot steps over the block. A block
+    holds at most _MC_BLOCK_WORDS masked words, 4 * _MC_BLOCK_WORDS draws and
+    _MC_BLOCK_WORDS / 4 samples, so memory does not grow with `samples`. The cost is O(k^2 ceil(n/64))
+    word operations per sample, at any n.
     """
     _check_prob("delta", delta)
     if samples < 1:
@@ -416,26 +417,24 @@ def mc_p_ml_erasure(m: BinMatrix, delta: float, samples: int, seed: int) -> PmlR
     words = max(1, -(-n // (8 * lane.itemsize)))
     packed = b"".join(b.to_bytes(lane.itemsize * words, "little") for b in m.bits)
     rows = np.frombuffer(packed, dtype=lane).reshape(k, words, 1)
-    # The generator fills its output in order, so the chunk size never
-    # changes the draws; it shrinks only to bound a chunk's arrays.
-    chunk = min(samples, max(1, _MC_CHUNK_ENTRIES // max(32, n, k * words)))
-    block = max(1, _MC_BLOCK_WORDS // max(1, k * words))
+    # The generator fills its output in order, so the block size never
+    # changes the draws; it only bounds a block's words, floats and samples
+    # (each sample also holds its flags and lanes).
+    block = min(samples, max(1, _MC_BLOCK_WORDS // max(4, k * words, -(-n // 4))))
     # Each sample's flags padded to whole bytes, so one flat packbits packs
     # them all; flags past n and bytes past ceil(n/8) stay 0.
     n_bytes = -(-n // 8)
-    keep = np.zeros((chunk, 8 * n_bytes), dtype=bool)
-    kept = np.zeros((chunk, lane.itemsize * words), dtype=np.uint8)
+    keep = np.zeros((block, 8 * n_bytes), dtype=bool)
+    kept = np.zeros((block, lane.itemsize * words), dtype=np.uint8)
     rng = np.random.default_rng(seed)
     errors = 0
-    for done in range(0, samples, chunk):
-        c = min(chunk, samples - done)
+    for done in range(0, samples, block):
+        c = min(block, samples - done)
         np.greater_equal(rng.random((c, n)), delta, out=keep[:c, :n])
         kept[:c, :n_bytes] = np.packbits(keep[:c], bitorder="little").reshape(c, n_bytes)
-        lanes = kept[:c].view(lane)
-        for lo in range(0, c, block):
-            # order="C" keeps each row's words contiguous over the samples.
-            a = np.bitwise_and(rows, lanes[lo:lo + block].T, order="C")
-            errors += int(np.count_nonzero(_dependent_rows(a)))
+        # order="C" keeps each row's words contiguous over the samples.
+        a = np.bitwise_and(rows, kept[:c].view(lane).T, order="C")
+        errors += int(np.count_nonzero(_dependent_rows(a)))
     value = errors / samples
     return PmlResult(
         value=value,

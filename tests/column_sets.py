@@ -121,7 +121,7 @@ def per_sample_errors(m: BinMatrix, delta: float, samples: int, seed: int) -> in
 
     Replays the draws in one block and takes the rank of each sample's kept
     columns, as Python ints: it holds at any n and shares neither the word
-    packing nor the chunking with the function it checks.
+    packing nor the blocks with the function it checks.
     """
     colints = m.column_ints()
     draws = np.random.default_rng(seed).random((samples, m.cols))

@@ -81,6 +81,20 @@ class TestParseChannel:
         assert spec.describe() == "bec:0.4"
         assert parse_channel("bsc:0.11").family == "bsc"
 
+    @pytest.mark.parametrize("descriptor, text", [
+        ("bec:0.4", "bec:0.4"),
+        ("bec:1", "bec:1"),
+        ("bec:0.5", "bec:0.5"),
+        ("bsc:0.11", "bsc:0.11"),
+        ("bec:0.1234567", "bec:0.1234567"),  # :g alone gives bec:0.123457
+        ("bsc:0.4999999", "bsc:0.4999999"),  # and bsc:0.5
+        ("bsc:1e-7", "bsc:1e-07"),
+    ])
+    def test_describe_names_the_parsed_value(self, descriptor, text):
+        spec = parse_channel(descriptor)
+        assert spec.describe() == text
+        assert parse_channel(spec.describe()) == spec
+
     def test_joint_dispatch(self):
         assert len(parse_channel("bec:0.2").joint().z_alphabet) == 3
         assert len(parse_channel("bsc:0.2").joint().z_alphabet) == 2

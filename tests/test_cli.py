@@ -291,6 +291,11 @@ class TestSearchCommand:
         assert len(rep["matrix"]) == 2 and len(rep["matrix"][0]) == 5
         assert rep["leakage_nats"] <= rep["hash_entropy_nats"]
 
+    def test_channel_echoes_the_parsed_value(self, capsys):
+        code, out, _ = run(capsys, "search", "--k", "2", "--n", "6", "--channel", "bec:0.1234567",
+                           "--trials", "2")
+        assert code == 0 and json.loads(out)["channel"] == "bec:0.1234567"
+
     def test_violated_bound_exits_five(self, capsys, monkeypatch):
         # search reads the module's own exact_leakage_bec
         monkeypatch.setattr(
@@ -370,6 +375,10 @@ class TestExponentsCommand:
     def test_family_mismatch(self, capsys):
         code, _, err = run(capsys, "exponents", "er-bec", "--channel", "bsc:0.25")
         assert code == 2 and "bec" in err
+
+    def test_family_mismatch_names_the_parsed_value(self, capsys):
+        code, _, err = run(capsys, "exponents", "er-bec", "--channel", "bsc:0.4999999")
+        assert code == 2 and "got 'bsc:0.4999999'" in err
 
     def test_non_finite_rate_bound(self, capsys):
         code, out, err = run(capsys, "exponents", "er-bec", "--channel", "bec:0.5",

@@ -55,7 +55,7 @@ def columns(draw):
 def test_to_csv_matches_row_by_row_reference(cols):
     r, value, theta = (c.tolist() for c in cols)
     table = CurveTable(*cols)
-    assert table.to_csv() == reference_csv(r, value, theta)
+    assert "".join(table.to_csv()) == reference_csv(r, value, theta)
     # The table keeps its own copies.
     cols[0][0] = 7.0
     assert table.r_nats.tolist() == r

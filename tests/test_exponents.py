@@ -405,10 +405,38 @@ class TestCharacteristicRates:
                 expurgation_rate(delta)
 
 
+SCALAR_CASES = [
+    # er-general takes a channel of either family, given in full; a family
+    # kind gives only its probability.
+    ("er-general", None, ChannelSpec("bsc", 0.11),
+     lambda r: random_coding_exponent(r, bsc_joint(0.11))),
+    ("er-bec", 0.3, None, lambda r: random_coding_exponent(r, bec_joint(0.3))),
+    ("er-bsc", 0.11, None, lambda r: random_coding_exponent(r, bsc_joint(0.11))),
+    ("ex-bec", 0.3, None, lambda r: expurgation_exponent_bec(r, 0.7)),
+    ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bsc(r, 0.11)),
+]
+
+
+def assert_points_equal_scalar_calls(kind, param, src, scalar, steps):
+    channel = src or ChannelSpec(exponents.CURVE_FAMILY[kind], param)
+    table = curve(kind, channel, 0.0, LN2, steps)
+    thetas = table.theta_star.tolist()
+    for r, value, theta in zip(table.r_nats.tolist(), table.value_nats.tolist(), thetas):
+        opt = scalar(r)
+        assert value.hex() == opt.value.hex()
+        assert theta.hex() == opt.theta_star.hex()
+    if kind.startswith("ex-"):
+        # the rate-0 closed limit
+        assert thetas[0] == math.inf and thetas[1] < math.inf
+    else:
+        # the zero tail beyond the conditional entropy
+        assert thetas[-1] == 0.0 and thetas[0] == 1.0
+
+
 class TestCurve:
     def test_header_and_formatting(self):
         table = curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 3)
-        text = table.to_csv()
+        text = "".join(table.to_csv())
         lines = text.split("\n")
         assert lines[0] == "R_nats,value_nats,R_bits,value_bits,theta_star"
         assert len(lines) == 5 and lines[-1] == ""
@@ -465,33 +493,15 @@ class TestCurve:
         for theta, r in interior:
             assert abs(closed_forms.er_bsc_slope(theta, r, eps)) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "kind, param, src, scalar",
-        [
-            # er-general takes a channel of either family, given in full; a
-            # family kind gives only its probability.
-            ("er-general", None, ChannelSpec("bsc", 0.11),
-             lambda r: random_coding_exponent(r, bsc_joint(0.11))),
-            ("er-bec", 0.3, None, lambda r: random_coding_exponent(r, bec_joint(0.3))),
-            ("er-bsc", 0.11, None, lambda r: random_coding_exponent(r, bsc_joint(0.11))),
-            ("ex-bec", 0.3, None, lambda r: expurgation_exponent_bec(r, 0.7)),
-            ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bsc(r, 0.11)),
-        ],
-    )
+    @pytest.mark.parametrize("kind, param, src, scalar", SCALAR_CASES)
     def test_points_equal_scalar_calls_bit_for_bit(self, kind, param, src, scalar):
-        channel = src or ChannelSpec(exponents.CURVE_FAMILY[kind], param)
-        table = curve(kind, channel, 0.0, LN2, 101)
-        thetas = table.theta_star.tolist()
-        for r, value, theta in zip(table.r_nats.tolist(), table.value_nats.tolist(), thetas):
-            opt = scalar(r)
-            assert value.hex() == opt.value.hex()
-            assert theta.hex() == opt.theta_star.hex()
-        if kind.startswith("ex-"):
-            # the rate-0 closed limit
-            assert thetas[0] == math.inf and thetas[1] < math.inf
-        else:
-            # the zero tail beyond the conditional entropy
-            assert thetas[-1] == 0.0 and thetas[0] == 1.0
+        assert_points_equal_scalar_calls(kind, param, src, scalar, 101)
+
+    @pytest.mark.parametrize("kind, param, src, scalar", SCALAR_CASES[2:4])
+    def test_points_past_one_solve_block_equal_scalar_calls(self, kind, param, src, scalar):
+        # curve solves _CSV_ROWS rates at a time: three blocks, the last of 3.
+        steps = 2 * exponents._CSV_ROWS + 3
+        assert_points_equal_scalar_calls(kind, param, src, scalar, steps)
 
     @pytest.mark.parametrize("channel", ["bec:0.5", "bsc:0.11"])
     def test_general_kind_takes_either_family(self, channel):

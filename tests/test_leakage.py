@@ -269,9 +269,10 @@ class TestMonteCarloPml:
         b = mc_p_ml_erasure(m, 0.3, 2000, 2).value
         assert a != b
 
-    def test_multi_chunk_path(self):
+    def test_multi_block_path(self):
+        # One row of one word takes blocks of 2^17 samples: this is two.
         m = parse_matrix("1 2\n11\n")
-        got = mc_p_ml_erasure(m, 0.3, (1 << 16) + 500, 5)
+        got = mc_p_ml_erasure(m, 0.3, (1 << 17) + 500, 5)
         assert abs(got.value - 0.09) <= 0.01
 
     def test_sample_count_required(self):
@@ -287,16 +288,19 @@ class TestMonteCarloPml:
 
     @pytest.mark.parametrize("k, n", [(3, 20), (5, 70), (8, 130)])
     def test_chunk_size_is_invisible(self, monkeypatch, k, n):
-        # A budget of 1000 entries cuts the draws into chunks of 7 to 31 samples.
-        monkeypatch.setattr(leakage, "_MC_CHUNK_ENTRIES", 1000)
+        # A budget of 1000 words cuts the draws into blocks of 200, 55 and 30
+        # samples: 1000 over the largest of 4, k times the words per sample
+        # and n/4 rounded up (5, 18 and 33).
+        monkeypatch.setattr(leakage, "_MC_BLOCK_WORDS", 1000)
         m = random_matrix(k, n, 20 + n)
         got = mc_p_ml_erasure(m, 0.85, 500, n)
         assert got.value == per_sample_errors(m, 0.85, 500, n) / 500
 
-    @pytest.mark.parametrize("k, n", [(3, 20), (5, 33), (8, 130)])
+    @pytest.mark.parametrize("k, n", [(3, 20), (5, 33), (8, 130), (5, 70), (10, 20), (1, 8)])
     def test_block_size_is_invisible(self, monkeypatch, k, n):
-        # A budget of 20 words cuts each chunk into blocks of 6, 4 and 1
-        # samples (k times 1, 1 and 3 words per sample).
+        # A budget of 20 words cuts the samples into blocks of 4, 2, 1, 1, 2
+        # and 5: the largest of 4, k times the words per sample (3, 5, 24, 10,
+        # 10, 1) and n/4 rounded up (5, 9, 33, 18, 5, 2) sets the block.
         monkeypatch.setattr(leakage, "_MC_BLOCK_WORDS", 20)
         m = random_matrix(k, n, 40 + n)
         delta = 1.0 - (k + 1) / n

@@ -41,7 +41,8 @@ def cases(draw):
 @example((from_columns(3, [0, 5, 5, 0, 3, 5, 6, 0]), 0.4, 200, 9))  # zero, repeated
 @example((random_matrix(4, 70, 10), 0.0, 50, 10))
 @example((random_matrix(4, 70, 11), 1.0, 50, 11))
-@example((from_columns(3, [1, 2, 4, 3, 5]), 0.3, (1 << 16) + 3, 12))  # two chunks
+@example((from_columns(3, [1, 2, 4, 3, 5]), 0.3, (1 << 16) + 3, 12))  # two blocks
+@example((random_matrix(3, 300, 14), 0.99, 4000, 14))  # three blocks of draws
 # Row 0 is zero in its first word whenever column 3 is erased, and then takes
 # its pivot in a later word, where rows 1-3 also have bits.
 @example((BinMatrix(4, 200, (1 << 3 | 1 << 70 | 1 << 150, 1 << 70 | 1 << 150 | 1 << 199,
