@@ -28,9 +28,9 @@ from .exponents import LN2, CURVE_KINDS, bsc_delta, critical_rate, curve, expurg
 from .gf2 import BinMatrix, check_shape, parse_matrix, random_matrix
 from .leakage import (
     best_matrix_search,
-    check_enum_cols,
     exact_leakage_bec,
     exact_leakage_bsc,
+    exact_method,
     mc_p_ml_erasure,
     p_ml_erasure,
     trial_seeds,
@@ -131,7 +131,7 @@ def _cmd_pml(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     spec = _channel(args, families=("bec",))
-    check_enum_cols(args.n)
+    exact_method("bec", args.k, args.n, args.trials)
     check_shape(args.k, args.n)  # every input is checked before the first row is written
     seeds = trial_seeds(args.seed, args.trials)
 
@@ -221,12 +221,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         raise InputParseError("--n list is empty")
     if min(sizes) < 1:
         raise InputParseError(f"--n block lengths must be >= 1, got {args.n!r}")
-    # Every size is checked before the first search draws a matrix.
-    check_enum_cols(max(sizes))
+    # Every rate >= ln 2 takes k = n; capping it keeps rate * n finite.
+    shapes = [(n, min(n, max(1, round(min(args.rate, LN2) * n / LN2)))) for n in sizes]
+    for n, k in sorted(shapes, reverse=True):  # all checked, the longest first, before any draw
+        exact_method(spec.family, k, n, args.trials)
     lines = ["n,k,best_leakage_nats,minus_log_leakage_over_n"]
-    for n in sizes:
-        # Every rate >= ln 2 takes k = n; capping it keeps rate * n finite.
-        k = min(n, max(1, round(min(args.rate, LN2) * n / LN2)))
+    for n, k in shapes:
         _, report = best_matrix_search(k, n, spec, args.trials, args.seed)
         leak = report.leakage_nats
         slope = math.inf if leak == 0.0 else -math.log(leak) / n

@@ -25,14 +25,14 @@ the rows of M packed into one 32-bit word per sample for n <= 32, ceil(n/64)
 Reports check their invariants when built (leakage in [0, entropy], slack
 >= -1e-9, P_ML in [0, 1]), raising InvariantViolationError on an internal fault.
 
-Limits: n <= 26 for the exact paths, none for Monte Carlo.
+Limits: exact_method holds the caps of the exact paths, none for Monte Carlo.
 """
 from __future__ import annotations
 
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +45,7 @@ from .gf2 import BinMatrix, random_matrix, rank, reduced_basis
 __all__ = [
     "LeakageReport",
     "PmlResult",
+    "exact_method",
     "exact_leakage_bec",
     "exact_leakage_bsc",
     "p_ml_erasure",
@@ -54,7 +55,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-_ENUM_MAX_COLS = 26
 _SLACK_FLOOR = -1e-9
 # Words (k rows times the words of a sample) in one Monte Carlo block, which is
 # drawn, packed and takes all k pivot steps before the next block starts. A
@@ -66,13 +66,6 @@ _SLACK_FLOOR = -1e-9
 _MC_BLOCK_WORDS = 1 << 17
 # Entries, or 64-bit words, of a 2^n or 2^r table handled per numpy block.
 _CHUNK = 1 << 16
-# Up to this many rows each erasure query takes the span law, above it the
-# rank profile that the subset-sum transform builds once per matrix. Medians on
-# random matrices (2-vCPU VM, numpy 2.4), law/cold transform: 4x12 0.035/0.11
-# ms, 4x24 0.076/52, 5x12 0.105/0.114, 5x24 0.26/50; the k = 5 table takes
-# 2.7 ms once. At k = 6 the 2825 subspaces take 47 ms to tabulate and the law
-# loses to the transform up to n = 16: 6x12 0.46/0.19 ms, 6x16 0.67/0.38.
-_VALUE_DP_MAX_ROWS = 5
 # Walsh-Hadamard levels per pass, as products with a 16 x 16 Hadamard matrix
 # (a pass per level takes the 2^r table through memory r times), each over at
 # most 2^7 rows or columns: BLAS keeps products that small on one thread, and
@@ -124,12 +117,28 @@ class PmlResult:
             raise InvariantViolationError(f"unknown method {self.method!r}")
 
 
-def check_enum_cols(n: int) -> None:
-    """Raise SizeLimitError unless n columns are within the exact paths' cap."""
-    if n > _ENUM_MAX_COLS:
-        raise SizeLimitError(
-            f"matrix has {n} columns; 2^n enumeration capped at n={_ENUM_MAX_COLS}"
-        )
+def exact_method(family: str, k: int, n: int, trials: int = 1) -> str:
+    """The algorithm the exact paths take for a k x n matrix on a `family`
+    channel, k unchecked against n. Raises SizeLimitError past n = 26, or when
+    `trials` matrices cost more than 2^46, 2^17 each plus the algorithm's."""
+    if n > 26:
+        raise SizeLimitError(f"matrix has {n} columns; 2^n enumeration capped at n=26")
+    # bec splits at k = 5. Medians on random matrices (2-vCPU VM, numpy 2.4),
+    # span law/cold transform: 4x12 0.035/0.11 ms, 4x24 0.076/52, 5x12 0.105/
+    # 0.114, 5x24 0.26/50, the k = 5 table 2.7 ms once; at k = 6 the table takes
+    # 47 ms and the law loses up to n = 16: 6x12 0.46/0.19 ms, 6x16 0.67/0.38.
+    if family == "bsc":
+        method, cost = "walsh-hadamard", min(k, n) * 2 ** min(k, n)
+    elif k <= 5:
+        method, cost = "span-law", 374 * 64 * n
+    else:
+        method, cost = "subset-sum", n * 2**n
+    # A trial took 0.04 ms at 1x2 bec, 0.07 ms at 1x2 bsc, 0.46 ms at 5x26, 3 ms
+    # at 6x20, 0.3 s at 8x26, 18-20 ms at 20x24 bsc and 0.8-1.1 s at 26x26 bsc
+    # (2-vCPU VM), so the largest run the cap admits takes about 3-20 h.
+    if trials * (2**17 + cost) > 2**46:
+        raise SizeLimitError(f"{trials} trials at {k}x{n} exceed the work cap of 2^46")
+    return method
 
 
 def _check_prob(name: str, p: float) -> None:
@@ -302,20 +311,21 @@ def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, profile))
 
 
-def _kept_rank_law(m: BinMatrix, delta: float) -> list[float]:
+def _profile_law(m: BinMatrix, delta: float) -> list[float]:
     """law[d]: the chance that the columns of `m` kept at erasure probability
-    `delta` span d dimensions.
-
-    The span law for k <= 5 rows. Above, the cached profile weighted per query:
-    an s-column subset is the kept set with probability (1-delta)^s delta^(n-s),
+    `delta` span d dimensions, from the cached profile weighted per query: an
+    s-column subset is the kept set with probability (1-delta)^s delta^(n-s),
     and each law[d] is an fsum of nonnegative products.
     """
-    if m.rows <= _VALUE_DP_MAX_ROWS:
-        return _span_law(m, delta)
     n = m.cols
     kept, out = _pow_table(1.0 - delta, n), _pow_table(delta, n)
     w = [kept[s] * out[n - s] for s in range(n + 1)]
     return [math.fsum(map(operator.mul, w, counts)) for counts in _subset_sum_profile(m)]
+
+
+def _kept_rank_law(m: BinMatrix) -> Callable[[BinMatrix, float], list[float]]:
+    """The kept-rank law, _span_law or _profile_law, that exact_method names for `m`."""
+    return _span_law if exact_method("bec", m.rows, m.cols) == "span-law" else _profile_law
 
 
 def _error_mass(law: list[float], rnk: int) -> float:
@@ -333,9 +343,9 @@ def p_ml_erasure(m: BinMatrix, delta: float) -> PmlResult:
     columns have rank below the message length k: the kept-rank law's mass
     below k.
     """
-    check_enum_cols(m.cols)
+    law_of = _kept_rank_law(m)
     _check_prob("delta", delta)
-    law = _kept_rank_law(m, delta)
+    law = law_of(m, delta)
     return PmlResult(value=_error_mass(law, rank(m)), method="exact-enumeration")
 
 
@@ -458,11 +468,11 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
     The erased columns at eps have the law of the kept ones at delta = 1 - eps,
     so one kept-rank law gives both, the bound bit for bit as p_ml_erasure's.
     """
-    check_enum_cols(m.cols)
+    law_of = _kept_rank_law(m)
     _check_prob("eps", eps)
     n = m.cols
     rnk = rank(m)
-    law = _kept_rank_law(m, 1.0 - eps)
+    law = law_of(m, 1.0 - eps)
     leakage = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(law))
     bound = n * _error_mass(law, rnk)
     return LeakageReport(
@@ -475,7 +485,7 @@ def exact_leakage_bec(m: BinMatrix, eps: float) -> LeakageReport:
 
 def _xor_span(values: list[int]) -> np.ndarray:
     """Entry u is the XOR of values[j] over the set bits j of u, as uint32:
-    under the n <= 26 cap every codeword fits in 32 bits."""
+    under exact_method's cap on n every codeword fits in 32 bits."""
     out = np.zeros(1 << len(values), dtype=np.uint32)
     for i, v in enumerate(values):
         np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
@@ -513,7 +523,7 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
     leakage is 2^-r sum_s phi(e_s), phi(e) = (1+e) ln(1+e) - e >= 0: a sum
     of nonnegative terms, so small leakages keep their relative precision.
     """
-    check_enum_cols(m.cols)
+    exact_method("bsc", m.rows, m.cols)
     _check_prob("eps", eps)
     basis = reduced_basis(m)
     r = len(basis)
@@ -561,7 +571,7 @@ def best_matrix_search(
     a later one can win. Falls back to the overall best only if no trial has
     full rank.
     """
-    check_enum_cols(n)
+    exact_method(channel.family, k, n, trials)
     evaluate = exact_leakage_bec if channel.family == "bec" else exact_leakage_bsc
 
     def trial(s: int) -> tuple[BinMatrix, LeakageReport]:

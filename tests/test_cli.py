@@ -134,6 +134,15 @@ class TestPmlCommand:
         assert rep["ci_halfwidth"] > 0.0
         assert abs(rep["p_ml"] - 0.09) <= 0.02
 
+    def test_only_the_exact_path_is_capped(self, capsys, tmp_path):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("1 27\n" + "1" * 27 + "\n")
+        code, out, err = run(capsys, "pml", "--matrix", str(wide), "--channel", "bec:0.5")
+        assert code == 3 and out == "" and "capped at n=26" in err
+        code, out, err = run(capsys, "pml", "--matrix", str(wide), "--channel", "bec:0.5",
+                             "--samples", "100")
+        assert code == 0 and err == "" and json.loads(out)["method"] == "monte-carlo"
+
     def test_needs_erasure_descriptor(self, capsys, matrix_file):
         code, _, err = run(capsys, "pml", "--matrix", matrix_file, "--channel", "bsc:0.3")
         assert code == 2 and "bec" in err
@@ -489,21 +498,34 @@ class TestScalingCommand:
         assert not dest.exists() and drawn == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("search", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
-    ("scaling", "--rate", "0.1", "--n", "27", "--channel", "bsc:0.1", "--trials", "1"),
-    ("verify-bound", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
-])
-def test_size_cap_checked_before_drawing(capsys, monkeypatch, argv):
-    # A matrix with millions of columns takes minutes to draw, so the cap must
-    # be checked first.
+_OVER_CAP = [
+    (("search", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
+     "capped at n=26"),
+    (("scaling", "--rate", "0.1", "--n", "27", "--channel", "bsc:0.1", "--trials", "1"),
+     "capped at n=26"),
+    (("verify-bound", "--k", "1", "--n", "27", "--channel", "bec:0.5", "--trials", "1"),
+     "capped at n=26"),
+    (("search", "--k", "1", "--n", "2", "--channel", "bec:0.5", "--trials", "10000000000000"),
+     "10000000000000 trials at 1x2 exceed the work cap of 2^46"),
+    (("verify-bound", "--k", "8", "--n", "26", "--channel", "bec:0.5", "--trials", "50000"),
+     "50000 trials at 8x26 exceed the work cap of 2^46"),
+    # Each block length with its own k: 0.3 nats per bit takes k = 11 at n = 26.
+    (("scaling", "--rate", "0.3", "--n", "8,26", "--channel", "bec:0.5", "--trials", "50000"),
+     "50000 trials at 11x26 exceed the work cap of 2^46"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _OVER_CAP, ids=[f"argv{i}" for i in range(len(_OVER_CAP))])
+def test_size_cap_checked_before_drawing(capsys, monkeypatch, argv, message):
+    # A matrix with millions of columns takes minutes to draw, and a run past
+    # the work cap hours, so the caps must be checked first.
     def refuse(*args):
-        raise AssertionError("random_matrix called for an oversized matrix")
+        raise AssertionError("random_matrix called for an oversized run")
 
     monkeypatch.setattr(cli, "random_matrix", refuse)
     monkeypatch.setattr(leakage, "random_matrix", refuse)
     code, out, err = run(capsys, *argv)
-    assert code == 3 and out == "" and "capped at n=26" in err
+    assert code == 3 and out == "" and message in err
 
 
 @pytest.mark.parametrize("argv", [

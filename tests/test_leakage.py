@@ -10,7 +10,6 @@ integer subset counts.
 import math
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +28,12 @@ from leakexp.leakage import (
     best_matrix_search,
     exact_leakage_bec,
     exact_leakage_bsc,
+    exact_method,
     mc_p_ml_erasure,
     p_ml_erasure,
+    _error_mass,
     _kept_rank_law,
+    _profile_law,
     _span_law,
     _subspace_table,
     trial_seeds,
@@ -203,6 +205,57 @@ class TestBruteForceGate:
             exact_leakage_bec(wide, 0.5)
         with pytest.raises(SizeLimitError):
             exact_leakage_bsc(wide, 0.5)
+        with pytest.raises(SizeLimitError, match="capped at n=26"):
+            p_ml_erasure(wide, 0.5)
+
+    def test_more_rows_than_columns(self):
+        # The library takes k > n matrices; only random_matrix refuses them.
+        m = from_columns(3, [5, 3])
+        assert p_ml_erasure(m, 0.5).value == 1.0
+        bec = exact_leakage_bec(m, 0.5)
+        assert bec.bound_nats == 2.0
+        assert abs(bec.leakage_nats - brute_force_leakage(m, bec_joint(0.5))) <= 1e-12
+        bsc = exact_leakage_bsc(m, 0.2)
+        assert abs(bsc.leakage_nats - brute_force_leakage(m, bsc_joint(0.2))) <= 1e-12
+
+
+class TestExactMethod:
+    """exact_method names the one algorithm every exact path takes, and holds
+    the caps on n and on a run's work."""
+
+    @pytest.mark.parametrize("family, k, n, want", [
+        ("bec", 0, 4, "span-law"),
+        ("bec", 5, 26, "span-law"),
+        ("bec", 6, 26, "subset-sum"),
+        ("bec", 6, 2, "subset-sum"),
+        ("bsc", 1, 26, "walsh-hadamard"),
+        ("bsc", 6, 12, "walsh-hadamard"),
+        ("bsc", 26, 26, "walsh-hadamard"),
+        ("bsc", 30, 3, "walsh-hadamard"),
+    ])
+    def test_algorithm_table(self, family, k, n, want):
+        assert exact_method(family, k, n) == want
+
+    @pytest.mark.parametrize("family, k", [("bec", 1), ("bec", 5), ("bec", 6), ("bsc", 26)])
+    def test_columns_capped_at_26(self, family, k):
+        with pytest.raises(SizeLimitError) as err:
+            exact_method(family, k, 27)
+        assert str(err.value) == "matrix has 27 columns; 2^n enumeration capped at n=26"
+
+    @pytest.mark.parametrize("family, k, n, cost", [
+        ("bec", 1, 2, 374 * 64 * 2),
+        ("bec", 5, 26, 374 * 64 * 26),
+        ("bec", 6, 20, 20 * 2**20),
+        ("bec", 8, 26, 26 * 2**26),
+        ("bsc", 1, 2, 1 * 2**1),
+        ("bsc", 11, 22, 11 * 2**11),
+        ("bsc", 30, 24, 24 * 2**24),
+    ])
+    def test_work_cap_on_both_sides(self, family, k, n, cost):
+        admitted = 2**46 // (2**17 + cost)
+        assert exact_method(family, k, n, admitted) == exact_method(family, k, n)
+        with pytest.raises(SizeLimitError, match=f"^{admitted + 1} trials at {k}x{n} exceed"):
+            exact_method(family, k, n, admitted + 1)
 
 
 class TestPmlErasure:
@@ -399,12 +452,6 @@ def close(got: float, want: float, rel: float) -> bool:
     return abs(got - want) <= rel * abs(want) + 1e-290
 
 
-def profile_law(m: BinMatrix, delta: float) -> list[float]:
-    """_kept_rank_law from the weighted subset-sum profile, whatever k is."""
-    with mock.patch.object(leakage, "_VALUE_DP_MAX_ROWS", -1):
-        return _kept_rank_law(m, delta)
-
-
 class TestSpanLaw:
     """Erasure queries fold one float law of the kept rank per query: the span
     law for k <= 5, the weighted rank profile above."""
@@ -437,13 +484,28 @@ class TestSpanLaw:
         # the law's rank deficit and its mass below k, as the leakage and the
         # bound read them.
         rnk, k, delta = rank(m), m.rows, 1.0 - eps
-        span, profile = _span_law(m, delta), profile_law(m, delta)
-        assert _kept_rank_law(m, delta) == span
+        span, profile = _span_law(m, delta), _profile_law(m, delta)
+        # Both queries take the span law at k <= 5, bit for bit.
+        assert _kept_rank_law(m) is _span_law
+        assert p_ml_erasure(m, delta).value == _error_mass(span, rnk)
+        leak = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(span))
+        assert exact_leakage_bec(m, eps).leakage_nats == leak
         for law in (span, profile):
             assert len(law) == k + 1 and min(law) >= 0.0
         deficit = [math.fsum((rnk - d) * p for d, p in enumerate(law)) for law in (span, profile)]
         assert close(deficit[0], deficit[1], 1e-12)
         assert close(math.fsum(span[:k]), math.fsum(profile[:k]), 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pooled_matrices(6, 9, 12), st.floats(0.0, 1.0))
+    def test_six_rows_and_more_take_the_profile(self, m, eps):
+        # Both queries take the weighted profile at k >= 6, bit for bit.
+        rnk, delta = rank(m), 1.0 - eps
+        profile = _profile_law(m, delta)
+        assert _kept_rank_law(m) is _profile_law
+        assert p_ml_erasure(m, delta).value == _error_mass(profile, rnk)
+        leak = LN2 * math.fsum((rnk - d) * p for d, p in enumerate(profile))
+        assert exact_leakage_bec(m, eps).leakage_nats == leak
 
     @pytest.mark.parametrize("m", [
         BinMatrix(0, 3, ()),
@@ -511,11 +573,11 @@ class TestSpanLaw:
     def test_rank_deficient_codes_always_fail(self, m, delta):
         # The kept rank never reaches k, so P_ML is 1 and the bound n exactly,
         # though the law's terms need not sum to 1 in floats. First from the
-        # law's own source (the span law up to k = 5), then the transform.
-        for split in (leakage._VALUE_DP_MAX_ROWS, -1):
-            with mock.patch.object(leakage, "_VALUE_DP_MAX_ROWS", split):
-                assert p_ml_erasure(m, delta).value == 1.0
-                assert exact_leakage_bec(m, 1.0 - delta).bound_nats == m.cols
+        # law's own source (the span law up to k = 5), then the transform,
+        # which six more zero rows take and which keep the rank below k.
+        for code in (m, BinMatrix(m.rows + 6, m.cols, m.bits + (0,) * 6)):
+            assert p_ml_erasure(code, delta).value == 1.0
+            assert exact_leakage_bec(code, 1.0 - delta).bound_nats == m.cols
 
     def test_law_sums_to_one_over_the_dimensions(self):
         m = from_columns(3, [1, 2, 2, 4, 3, 0, 7])
