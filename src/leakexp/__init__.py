@@ -1,12 +1,6 @@
 """Exact leakage of linear-hash privacy amplification over binary side
 channels, the matching decoding-error bound, and error-exponent curves."""
-from .channels import (
-    ChannelSpec,
-    JointSource,
-    bec_joint,
-    bsc_joint,
-    parse_channel,
-)
+from .channels import ChannelSpec, parse_channel
 from .errors import (
     DegenerateParameterError,
     InputParseError,
@@ -16,10 +10,10 @@ from .errors import (
 from .exponents import (
     CurveTable,
     OptResult,
+    bsc_delta,
     critical_rate,
     curve,
     expurgation_exponent_bec,
-    expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
 )
@@ -46,10 +40,7 @@ __all__ = [
     "rank",
     "random_matrix",
     "parse_matrix",
-    "JointSource",
     "ChannelSpec",
-    "bec_joint",
-    "bsc_joint",
     "parse_channel",
     "LeakageReport",
     "PmlResult",
@@ -62,7 +53,7 @@ __all__ = [
     "CurveTable",
     "random_coding_exponent",
     "expurgation_exponent_bec",
-    "expurgation_exponent_bsc",
+    "bsc_delta",
     "critical_rate",
     "expurgation_rate",
     "curve",

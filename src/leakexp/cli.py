@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto library operations: exact leakage reports,
 erasure decoding error, the leakage-vs-decoding-error bound sweep, best-hash
 search, exponent curves (with figure presets), characteristic rates, and a
-finite-length scaling table. Output is JSON (single-object reports) or CSV
-(tables) with 12 significant digits and LF line endings, byte-identical for
-identical flags and seed.
+finite-length scaling table. Output is JSON (single-object reports, floats
+written in full) or CSV (tables, 12 significant digits) with LF line endings,
+byte-identical for identical flags and seed.
 
 Exit codes: 0 success, 2 input parse error, 3 size limit exceeded,
 4 degenerate parameter, 5 internal invariant violation.

@@ -4,10 +4,10 @@ Every exponent here is a concave maximization over a tilt theta, solved where
 its slope vanishes by one root-finder run on all rates of a curve at once.
 
 Random-coding exponents maximize over theta in [0, 1]. For either channel
-family and for any JointSource they use one evaluator of the tilted source,
--log1p(sum m*expm1(theta*l)) over its (mass, ln P(x|z)) terms, which keeps its
-relative precision as theta -> 0. The slope is minus the tilted mean of l less
-the rate, H(X|Z) - R at theta = 0, and decreases with theta.
+family they use one evaluator of the tilted source, -log1p(sum m*expm1(theta*l))
+over its (mass, ln P(x|z)) terms, which keeps its relative precision as
+theta -> 0. The slope is minus the tilted mean of l less the rate,
+H(X|Z) - R at theta = 0, and decreases with theta.
 Expurgation-style exponents maximize over theta >= 1. Their slope is
 ln 2 - R - h(p) with p = t/(1+t) and t = delta^(1/theta), so they are solved on
 x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta); that p
@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .channels import ChannelSpec, JointSource
+from .channels import ChannelSpec
 from .errors import DegenerateParameterError, SizeLimitError
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "CurveTable",
     "random_coding_exponent",
     "expurgation_exponent_bec",
-    "expurgation_exponent_bsc",
     "bsc_delta",
     "critical_rate",
     "expurgation_rate",
@@ -153,13 +152,19 @@ def _decreasing_root(
     return x
 
 
-def _tilt_terms(src: JointSource) -> _Terms:
-    """(mass, ln P(x|z)) for the cells of `src` with 0 < P(x|z) < 1, cells with
-    equal log-ratios merged into one term. Cells with P(x|z) = 1 add nothing
-    to the tilt and are left out."""
-    pz = src.p_z()
+def _tilt_terms(channel: ChannelSpec) -> _Terms:
+    """(mass, ln P(x|z)) for the cells P(x, z) of a uniform bit x seen as z
+    through `channel` with 0 < P(x|z) < 1, cells with equal log-ratios merged
+    into one term. Cells with P(x|z) = 1 add nothing to the tilt and are left
+    out."""
+    keep, other = (1.0 - channel.eps) / 2.0, channel.eps / 2.0
+    if channel.family == "bec":
+        rows = ((keep, 0.0, other), (0.0, keep, other))  # z = 0, 1, erased
+    else:
+        rows = ((keep, other), (other, keep))
+    pz = [p0 + p1 for p0, p1 in zip(*rows)]
     merged: dict[float, float] = {}
-    for row in src.probs:
+    for row in rows:
         for p, q in zip(row, pz):
             if 0.0 < p < q:
                 ell = math.log(p / q)
@@ -173,10 +178,10 @@ def _tilt(terms: _Terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     masses are m*e^(theta*l) over the normaliser 1 + S.
 
     The exponent -ln sum_{x,z} P(x,z) P(x|z)^theta is -log1p(S), exact because
-    the cell masses sum to 1 (JointSource checks it to 1e-12). No l is
-    positive, so S has no cancellation and small theta keeps its relative
-    precision. Its slope in theta is minus the mean, its curvature minus the
-    variance.
+    the cell masses, (1-eps)/2 and eps/2 twice each, sum to 1 up to rounding.
+    No l is positive, so S has no cancellation and small theta keeps its
+    relative precision. Its slope in theta is minus the mean, its curvature
+    minus the variance.
     """
     total = first = second = 0.0
     for mass, ell in terms:
@@ -204,7 +209,7 @@ def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return theta, 0.0 - np.log1p(_tilt(terms, theta)[0]) - theta * rates
 
 
-def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
+def random_coding_exponent(rate: float, channel: ChannelSpec) -> OptResult:
     """max over theta in [0, 1] of -ln sum_{x,z} P(x,z) P(x|z)^theta - theta*rate.
 
     The first term is theta times a conditional Renyi entropy of order
@@ -214,7 +219,7 @@ def random_coding_exponent(rate: float, src: JointSource) -> OptResult:
     once the rate reaches H(X|Z)."""
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    theta, value = _max_tilt(_tilt_terms(src), np.array([rate]))
+    theta, value = _max_tilt(_tilt_terms(channel), np.array([rate]))
     return OptResult(float(value[0]), float(theta[0]), None, "max-theta")
 
 
@@ -298,12 +303,6 @@ def bsc_delta(eps: float) -> float:
     return (1.0 - 2.0 * eps) ** 2
 
 
-def expurgation_exponent_bsc(rate: float, eps: float) -> OptResult:
-    """Expurgation-style lower bound for a bit-flip side channel via its
-    dominating erasure channel: delta = (1 - 2*eps)^2."""
-    return expurgation_exponent_bec(rate, bsc_delta(eps))
-
-
 def critical_rate(eps: float) -> float:
     """Largest rate at which the bit-flip random-coding optimizer sits at theta = 1."""
     bsc_delta(eps)  # raises on eps outside (0, 1/2)
@@ -332,7 +331,7 @@ def curve(
 ) -> CurveTable:
     """Sample one exponent curve on `steps` evenly spaced rates in [r_min, r_max].
 
-    The 'er-*' kinds read the joint source of `channel`, the 'ex-*' kinds its
+    The 'er-*' kinds read the tilt terms of `channel`, the 'ex-*' kinds its
     virtual erasure probability: 1 - eps for an erasure channel, bsc_delta(eps)
     for a bit-flip one. A kind with a family in CURVE_FAMILY takes only a
     channel of that family. The rates are solved _CSV_ROWS at a time by one
@@ -363,7 +362,7 @@ def curve(
         # For an erasure channel the virtual one erases what the eavesdropper keeps.
         delta = 1.0 - channel.eps if channel.family == "bec" else bsc_delta(channel.eps)
     else:
-        terms = _tilt_terms(channel.joint())
+        terms = _tilt_terms(channel)
     theta, value = np.empty_like(rates), np.empty_like(rates)
     for lo in range(0, steps, _CSV_ROWS):
         block = rates[lo:lo + _CSV_ROWS]

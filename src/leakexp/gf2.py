@@ -8,7 +8,6 @@ length, and the exact leakage paths take their row bases from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,23 +38,6 @@ class BinMatrix:
             # bit_length, not b < 2^cols: a huge cols must not build 2^cols.
             if b < 0 or b.bit_length() > self.cols:
                 raise ValueError(f"row {i + 1} does not fit in {self.cols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinMatrix":
-        """Build from nested 0/1 sequences (row-major)."""
-        k = len(rows)
-        n = len(rows[0]) if k else 0
-        packed = []
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("ragged rows")
-            v = 0
-            for j, b in enumerate(r):
-                if b not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                v |= b << j
-            packed.append(v)
-        return cls(k, n, tuple(packed))
 
     def to_bit_strings(self) -> tuple[str, ...]:
         return tuple(

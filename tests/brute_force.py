@@ -10,6 +10,8 @@ import numpy as np
 
 from leakexp.errors import SizeLimitError
 
+from closed_forms import joint_table
+
 _BRUTE_MAX_COLS = {2: 14, 3: 12}
 
 
@@ -21,16 +23,17 @@ def _syndromes(m) -> np.ndarray:
     return syn
 
 
-def brute_force_leakage(m, src) -> float:
+def brute_force_leakage(m, family: str, eps: float) -> float:
     """I(S; Z^n) for the hash S = X M^T of a uniform X observed through the
-    memoryless channel of JointSource `src`.
+    memoryless 'bec' or 'bsc' channel `family` with probability `eps`.
 
     Builds the joint distribution of (S, Z^n) by summing the product source
     over hash preimages, then returns H(S) + H(Z^n) - H(S, Z^n). No rank or
     symmetry shortcuts.
     """
     n, k = m.cols, m.rows
-    d = len(src.z_alphabet)
+    table = joint_table(family, eps)
+    d = len(table[0])
     limit = _BRUTE_MAX_COLS.get(d)
     if limit is None:
         raise ValueError(f"unsupported side alphabet size {d}")
@@ -40,7 +43,7 @@ def brute_force_leakage(m, src) -> float:
         )
     if k > 62:
         raise SizeLimitError("packed syndromes support at most 62 rows")
-    w_rows = [np.array(src.probs[0]), np.array(src.probs[1])]
+    w_rows = [np.array(table[0]), np.array(table[1])]
     syn = _syndromes(m)
     order = np.argsort(syn, kind="stable")
     sorted_syn = syn[order]

@@ -4,9 +4,10 @@ stationarity solver.
 The random-coding objectives are written straight from the channel's
 transition probabilities, and every optimization here (random-coding tilt,
 expurgation tilt, its constrained minimum over a flip probability, Lagrangian
-dual) is a pure-Python golden-section search on the objective itself, so neither the evaluator nor the solver is shared with
-the library. Also here: closed forms of the joint sources that the library
-does not need.
+dual) is a pure-Python golden-section search on the objective itself, so
+neither the evaluator nor the solver is shared with the library. Also here:
+the joint table of each channel family, built apart from the library's tilt
+terms, which the brute-force oracle reads, and closed forms over it.
 """
 import math
 from decimal import Decimal, localcontext
@@ -143,7 +144,8 @@ def ex_decimal(rate: float, delta: float, digits: int = 50) -> tuple[float, floa
             return -p * p.ln() - (one - p) * (one - p).ln()
 
         lo, hi = Decimal(delta) / (one + Decimal(delta)), Decimal("0.5")
-        assert h(lo) < target
+        if not h(lo) < target:
+            raise ValueError(f"rate {rate} is not below the expurgation rate of delta={delta}")
         for _ in range(4 * digits):
             mid = (lo + hi) / 2
             if h(mid) < target:
@@ -155,16 +157,32 @@ def ex_decimal(rate: float, delta: float, digits: int = 50) -> tuple[float, floa
         return float(-p * ln_delta), float(ln_delta / (p / (one - p)).ln())
 
 
-def p_x(src) -> tuple[float, float]:
-    """Marginal of the bit X of a JointSource."""
-    return (sum(src.probs[0]), sum(src.probs[1]))
+def joint_table(family: str, eps: float) -> tuple[tuple[float, ...], ...]:
+    """P(X = x, Z = z) for a uniform bit x seen as z through a 'bec' or 'bsc'
+    channel, one row per x; the erasure columns are z = 0, 1, erased."""
+    keep, other = (1.0 - eps) / 2.0, eps / 2.0
+    if family == "bec":
+        return ((keep, 0.0, other), (0.0, keep, other))
+    if family == "bsc":
+        return ((keep, other), (other, keep))
+    raise ValueError(f"unknown channel family {family!r}")
 
 
-def conditional_entropy_x_given_z(src) -> float:
-    """H(X|Z) in nats, computed directly from a JointSource's table."""
-    pz = src.p_z()
+def p_x(table) -> tuple[float, float]:
+    """Marginal of the bit X of a joint table."""
+    return (sum(table[0]), sum(table[1]))
+
+
+def p_z(table) -> tuple[float, ...]:
+    """Marginal of the observation Z of a joint table."""
+    return tuple(p0 + p1 for p0, p1 in zip(*table))
+
+
+def conditional_entropy_x_given_z(table) -> float:
+    """H(X|Z) in nats, computed directly from a joint table."""
+    pz = p_z(table)
     h = 0.0
-    for row in src.probs:
+    for row in table:
         for p, q in zip(row, pz):
             if p > 0.0:
                 h -= p * math.log(p / q)

@@ -1,13 +1,14 @@
 """Oracles' helpers for the tests: column subsets of a GF(2) matrix, spans
 grown by a vector, (size, rank) counts by a DP over the column values and
-regrouped by rank, matrices built from their columns or as identities, rows and text of a
-matrix, and Monte Carlo errors decided sample by sample."""
+regrouped by rank, matrices built from their rows or columns or as
+identities, rows and text of a matrix, and Monte Carlo errors decided sample
+by sample."""
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,6 +95,23 @@ def by_rank(profile: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Counts by (size, rank) regrouped by rank, then size: the layout of the
     profile that leakage._subset_sum_profile caches."""
     return tuple(zip(*profile))
+
+
+def from_rows(rows: Sequence[Sequence[int]]) -> BinMatrix:
+    """Build from nested 0/1 sequences (row-major)."""
+    k = len(rows)
+    n = len(rows[0]) if k else 0
+    packed = []
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("ragged rows")
+        v = 0
+        for j, b in enumerate(r):
+            if b not in (0, 1):
+                raise ValueError("entries must be 0 or 1")
+            v |= b << j
+        packed.append(v)
+    return BinMatrix(k, n, tuple(packed))
 
 
 def from_columns(k: int, cols: list[int]) -> BinMatrix:

@@ -13,12 +13,12 @@ import time
 import pytest
 
 import closed_forms
-from leakexp.channels import bec_joint, bsc_joint
+from leakexp.channels import ChannelSpec
 from leakexp.cli import main
 from leakexp.exponents import (
+    bsc_delta,
     critical_rate,
     expurgation_exponent_bec,
-    expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
 )
@@ -64,11 +64,11 @@ def test_01_exact_paths_match_brute_force():
     for i, m in enumerate(mats):
         e = bec_eps[i % 4]
         worst_bec = max(worst_bec, abs(
-            exact_leakage_bec(m, e).leakage_nats - brute_force_leakage(m, bec_joint(e))
+            exact_leakage_bec(m, e).leakage_nats - brute_force_leakage(m, "bec", e)
         ))
         e = bsc_eps[i % 4]
         worst_bsc = max(worst_bsc, abs(
-            exact_leakage_bsc(m, e).leakage_nats - brute_force_leakage(m, bsc_joint(e))
+            exact_leakage_bsc(m, e).leakage_nats - brute_force_leakage(m, "bsc", e)
         ))
     elapsed = time.perf_counter() - start
     ok = worst_bec <= 1e-9 and worst_bsc <= 1e-9 and elapsed <= 60.0
@@ -109,7 +109,7 @@ def test_03_bitflip_dominated_by_erasure():
 def test_04_generic_optimizer_matches_closed_forms():
     worst = 0.0
     for eps in (0.11, 0.25, 0.5):
-        bec, bsc = bec_joint(eps), bsc_joint(eps)
+        bec, bsc = ChannelSpec("bec", eps), ChannelSpec("bsc", eps)
         for r in grid(0.0, LN2, 50):
             worst = max(worst, abs(
                 random_coding_exponent(r, bec).value - closed_forms.er_bec(r, eps)
@@ -149,8 +149,8 @@ def test_06_reduction_interval_agreement():
         line = -math.log((1 - eps) ** 2 + eps**2)
         worst_pair = worst_line = 0.0
         for r in grid(rx, rcr, 25):
-            er = random_coding_exponent(r, bsc_joint(eps)).value
-            ex = expurgation_exponent_bsc(r, eps).value
+            er = random_coding_exponent(r, ChannelSpec("bsc", eps)).value
+            ex = expurgation_exponent_bec(r, bsc_delta(eps)).value
             worst_pair = max(worst_pair, abs(er - ex))
             worst_line = max(worst_line, abs(er - (line - r)), abs(ex - (line - r)))
         ok &= worst_pair <= 1e-6 and worst_line <= 1e-6
@@ -158,8 +158,8 @@ def test_06_reduction_interval_agreement():
         for r in grid(0.0, rx - 0.01, 10):
             low_gap = min(
                 low_gap,
-                expurgation_exponent_bsc(r, eps).value
-                - random_coding_exponent(r, bsc_joint(eps)).value,
+                expurgation_exponent_bec(r, bsc_delta(eps)).value
+                - random_coding_exponent(r, ChannelSpec("bsc", eps)).value,
             )
         ok &= low_gap >= 1e-6
         details.append(
@@ -172,9 +172,9 @@ def test_06_reduction_interval_agreement():
 
 def test_07a_low_rate_dominance_anchors():
     ex0 = expurgation_exponent_bec(0.0, 0.5).value
-    er0 = random_coding_exponent(0.0, bec_joint(0.5)).value
+    er0 = random_coding_exponent(0.0, ChannelSpec("bec", 0.5)).value
     gap = (expurgation_exponent_bec(0.05, 0.5).value
-           - random_coding_exponent(0.05, bec_joint(0.5)).value)
+           - random_coding_exponent(0.05, ChannelSpec("bec", 0.5)).value)
     ok = abs(ex0 - 0.346574) <= 1e-6 and abs(er0 - 0.287682) <= 1e-6 and gap >= 1e-6
     report(7, ok,
            f"zero-rate anchors hold (expurgation {ex0:.6f}, random-coding {er0:.6f}) "
@@ -191,7 +191,7 @@ def test_07b_dominance_everywhere_on_full_rate_range():
     worst = (0.0, math.inf)
     for r in grid(0.0, LN2, 200):
         ex = max(0.0, expurgation_exponent_bec(r, 0.5).value)
-        er = max(0.0, random_coding_exponent(r, bec_joint(0.5)).value)
+        er = max(0.0, random_coding_exponent(r, ChannelSpec("bec", 0.5)).value)
         if ex - er < worst[1]:
             worst = (r, ex - er)
     ok = worst[1] >= -1e-12
@@ -203,13 +203,13 @@ def test_07b_dominance_everywhere_on_full_rate_range():
 def test_08_random_coding_zero_beyond_conditional_entropy():
     ok = True
     details = []
-    cases = [("erasure", e, e * LN2, bec_joint) for e in (0.11, 0.25, 0.5)]
-    cases += [("bit-flip", e, h2(e), bsc_joint) for e in (0.11, 0.25)]
-    for name, eps, hxz, joint in cases:
+    cases = [("erasure", "bec", e, e * LN2) for e in (0.11, 0.25, 0.5)]
+    cases += [("bit-flip", "bsc", e, h2(e)) for e in (0.11, 0.25)]
+    for name, family, eps, hxz in cases:
         rs = grid(0.0, LN2, 100)
         step = rs[1] - rs[0]
         for r in rs:
-            v = random_coding_exponent(r, joint(eps)).value
+            v = random_coding_exponent(r, ChannelSpec(family, eps)).value
             if r >= hxz:
                 ok &= v == 0.0
             elif r <= hxz - step:

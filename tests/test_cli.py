@@ -108,6 +108,12 @@ class TestLeakageCommand:
         code, _, _ = run(capsys, "leakage", "--matrix", matrix_file, "--channel", "bec:1.4")
         assert code == 2
 
+    def test_negative_dimension_exit(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("-1 2\n")
+        code, out, err = run(capsys, "leakage", "--matrix", str(bad), "--channel", "bec:0.4")
+        assert (code, out, err) == (2, "", "error: line 1: dimensions must be >= 0\n")
+
     def test_size_limit_exit(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text("1 27\n" + "1" * 27 + "\n")
@@ -374,6 +380,10 @@ class TestExponentsCommand:
     def test_neither_kind_nor_preset(self, capsys):
         assert run(capsys, "exponents")[0] == 2
 
+    def test_curve_needs_channel(self, capsys):
+        code, out, err = run(capsys, "exponents", "er-bec")
+        assert (code, out, err) == (2, "", "error: curve evaluation needs --channel\n")
+
     @pytest.mark.parametrize("channel", ["bec:0.5", "bsc:0.11"])
     def test_family_kind_matches_general_byte_for_byte(self, capsys, channel):
         family_kind = "er-" + channel.split(":")[0]
@@ -465,6 +475,12 @@ class TestScalingCommand:
             "--channel", "bec:0.5",
         )
         assert code == 2
+
+    def test_empty_n_list(self, capsys):
+        code, out, err = run(
+            capsys, "scaling", "--rate", "0.1", "--n", ",", "--channel", "bec:0.5",
+        )
+        assert (code, out, err) == (2, "", "error: --n list is empty\n")
 
     def test_rate_past_ln2_takes_k_equal_n(self, capsys):
         # 1e308 * n / ln 2 overflows a float; any rate >= ln 2 gives k = n.

@@ -15,16 +15,16 @@ import pytest
 
 import closed_forms
 from leakexp import exponents
-from leakexp.channels import ChannelSpec, bec_joint, bsc_joint, parse_channel
+from leakexp.channels import ChannelSpec, parse_channel
 from leakexp.errors import DegenerateParameterError, SizeLimitError
 from leakexp.exponents import (
     _decreasing_root,
     _tilt,
     _tilt_terms,
+    bsc_delta,
     critical_rate,
     curve,
     expurgation_exponent_bec,
-    expurgation_exponent_bsc,
     expurgation_rate,
     random_coding_exponent,
 )
@@ -32,10 +32,10 @@ from leakexp.exponents import (
 LN2 = math.log(2.0)
 
 
-def renyi_exponent(theta: float, src) -> float:
+def renyi_exponent(theta: float, channel: ChannelSpec) -> float:
     """-ln sum_{x,z} P(x,z) P(x|z)^theta, the first term of the random-coding
     objective, from the library's one evaluator of the tilted source."""
-    return float(0.0 - np.log1p(_tilt(_tilt_terms(src), np.array([theta]))[0])[0])
+    return float(0.0 - np.log1p(_tilt(_tilt_terms(channel), np.array([theta]))[0])[0])
 
 
 def h2(p: float) -> float:
@@ -85,7 +85,7 @@ class TestDecreasingRoot:
             return _decreasing_root(lambda t: calls.append(t) or slope(t), lo, hi, x)
 
         monkeypatch.setattr(exponents, "_decreasing_root", counted)
-        theta, _ = exponents._max_tilt(_tilt_terms(bsc_joint(eps)), rates)
+        theta, _ = exponents._max_tilt(_tilt_terms(ChannelSpec("bsc", eps)), rates)
         return theta, len(calls)
 
     def test_flat_slope_stops_at_its_rounding_noise(self, monkeypatch):
@@ -121,34 +121,36 @@ class TestDecreasingRoot:
 
 class TestRenyiExponent:
     def test_zero_tilt_is_exactly_zero(self):
-        assert renyi_exponent(0.0, bec_joint(0.3)) == 0.0
-        assert renyi_exponent(0.0, bsc_joint(0.3)) == 0.0
+        assert renyi_exponent(0.0, ChannelSpec("bec", 0.3)) == 0.0
+        assert renyi_exponent(0.0, ChannelSpec("bsc", 0.3)) == 0.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
     def test_bec_closed_form(self, eps):
         for theta in (0.25, 0.5, 1.0):
             expect = -math.log((1 - eps) + eps * 2.0**-theta)
-            assert abs(renyi_exponent(theta, bec_joint(eps)) - expect) <= 1e-12
+            assert abs(renyi_exponent(theta, ChannelSpec("bec", eps)) - expect) <= 1e-12
 
     def test_bsc_quarter_at_unit_tilt(self):
-        got = renyi_exponent(1.0, bsc_joint(0.25))
+        got = renyi_exponent(1.0, ChannelSpec("bsc", 0.25))
         assert abs(got - (-math.log(0.625))) <= 1e-12
 
     @pytest.mark.parametrize(
-        "src", [bec_joint(0.3), bsc_joint(0.11), bsc_joint(0.4)]
+        "src", [ChannelSpec("bec", 0.3), ChannelSpec("bsc", 0.11), ChannelSpec("bsc", 0.4)]
     )
     def test_slope_at_zero_is_conditional_entropy(self, src):
         fd = (renyi_exponent(1e-6, src) - renyi_exponent(0.0, src)) / 1e-6
-        assert abs(fd - closed_forms.conditional_entropy_x_given_z(src)) <= 1e-5
+        table = closed_forms.joint_table(src.family, src.eps)
+        assert abs(fd - closed_forms.conditional_entropy_x_given_z(table)) <= 1e-5
 
     @pytest.mark.parametrize("channel", ["bec:0.3", "bec:0.9", "bsc:0.11", "bsc:0.4"])
     @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0])
     def test_relative_accuracy_toward_zero_tilt(self, channel, theta):
         # 60-digit reference over the same cells, masses normalised to sum to 1
-        src = parse_channel(channel).joint()
+        src = parse_channel(channel)
         with localcontext() as ctx:
             ctx.prec = 60
-            cells = [[Decimal(p) for p in row] for row in src.probs]
+            table = closed_forms.joint_table(src.family, src.eps)
+            cells = [[Decimal(p) for p in row] for row in table]
             pz = [a + b for a, b in zip(*cells)]
             mass = sum(pz)
             t = Decimal(theta)
@@ -164,49 +166,49 @@ class TestRenyiExponent:
 
 class TestRandomCodingExponent:
     def test_zero_rate_erasure_half(self):
-        got = random_coding_exponent(0.0, bec_joint(0.5))
+        got = random_coding_exponent(0.0, ChannelSpec("bec", 0.5))
         assert abs(got.value - 0.287682072452) <= 1e-9
         assert got.theta_star == 1.0
         assert got.form == "max-theta"
 
     def test_zero_rate_bitflip(self):
-        got = random_coding_exponent(0.0, bsc_joint(0.11))
+        got = random_coding_exponent(0.0, ChannelSpec("bsc", 0.11))
         assert abs(got.value - (-math.log(0.89**2 + 0.11**2))) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
     def test_generic_matches_bec_closed_form(self, eps):
-        src = bec_joint(eps)
+        src = ChannelSpec("bec", eps)
         for r in grid(0.0, LN2, 50):
             a = random_coding_exponent(r, src).value
             assert abs(a - closed_forms.er_bec(r, eps)) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.11, 0.25])
     def test_generic_matches_bsc_closed_form(self, eps):
-        src = bsc_joint(eps)
+        src = ChannelSpec("bsc", eps)
         for r in grid(0.0, LN2, 50):
             a = random_coding_exponent(r, src).value
             assert abs(a - closed_forms.er_bsc(r, eps)) <= 1e-9
 
     def test_vanishes_exactly_beyond_conditional_entropy(self):
-        got = random_coding_exponent(0.5 * LN2 + 1e-3, bec_joint(0.5))
+        got = random_coding_exponent(0.5 * LN2 + 1e-3, ChannelSpec("bec", 0.5))
         assert got.value == 0.0 and got.theta_star == 0.0
-        got = random_coding_exponent(h2(0.11) + 1e-3, bsc_joint(0.11))
+        got = random_coding_exponent(h2(0.11) + 1e-3, ChannelSpec("bsc", 0.11))
         assert got.value == 0.0 and got.theta_star == 0.0
 
     def test_tilt_stays_in_unit_interval(self):
         for r in grid(0.0, LN2, 20):
-            t = random_coding_exponent(r, bsc_joint(0.25)).theta_star
+            t = random_coding_exponent(r, ChannelSpec("bsc", 0.25)).theta_star
             assert 0.0 <= t <= 1.0
 
     def test_nonincreasing_in_rate(self):
-        vals = [random_coding_exponent(r, bec_joint(0.5)).value for r in grid(0.0, LN2, 40)]
+        vals = [random_coding_exponent(r, ChannelSpec("bec", 0.5)).value for r in grid(0.0, LN2, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            random_coding_exponent(-0.1, bec_joint(0.5))
+            random_coding_exponent(-0.1, ChannelSpec("bec", 0.5))
         with pytest.raises(ValueError):
-            random_coding_exponent(-0.1, bsc_joint(0.5))
+            random_coding_exponent(-0.1, ChannelSpec("bsc", 0.5))
 
 
 class TestExpurgationExponent:
@@ -230,6 +232,10 @@ class TestExpurgationExponent:
 
     def test_raw_values_may_be_negative(self):
         assert expurgation_exponent_bec(LN2, 0.5).value < 0.0
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            expurgation_exponent_bec(-0.1, 0.5)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.3])
     def test_degenerate_delta_rejected(self, delta):
@@ -349,11 +355,11 @@ class TestReductionExponent:
             assert lo <= hi
             for r in grid(lo, hi, 12):
                 expect = -math.log((1 - eps) ** 2 + eps**2) - r
-                assert abs(expurgation_exponent_bsc(r, eps).value - expect) <= 1e-9
-                assert abs(random_coding_exponent(r, bsc_joint(eps)).value - expect) <= 1e-9
+                assert abs(expurgation_exponent_bec(r, bsc_delta(eps)).value - expect) <= 1e-9
+                assert abs(random_coding_exponent(r, ChannelSpec("bsc", eps)).value - expect) <= 1e-9
 
     def test_zero_rate_quarter(self):
-        got = expurgation_exponent_bsc(0.0, 0.25)
+        got = expurgation_exponent_bec(0.0, bsc_delta(0.25))
         assert abs(got.value - LN2) <= 1e-12
         assert got.form == "closed-limit" and got.p_star == 0.5
 
@@ -361,14 +367,14 @@ class TestReductionExponent:
         # more crossover noise means a weaker eavesdropper and a larger
         # exponent; toward eps = 0 the virtual channel stops erasing and
         # secrecy vanishes
-        vals = [expurgation_exponent_bsc(0.05, e).value for e in (0.05, 0.1, 0.2, 0.3)]
+        vals = [expurgation_exponent_bec(0.05, bsc_delta(e)).value for e in (0.05, 0.1, 0.2, 0.3)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert expurgation_exponent_bsc(0.05, 1e-6).value < 0.0
+        assert expurgation_exponent_bec(0.05, bsc_delta(1e-6)).value < 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.7, -0.1])
     def test_degenerate_eps_rejected(self, eps):
         with pytest.raises(DegenerateParameterError):
-            expurgation_exponent_bsc(0.1, eps)
+            expurgation_exponent_bec(0.1, bsc_delta(eps))
 
 
 class TestCharacteristicRates:
@@ -383,8 +389,8 @@ class TestCharacteristicRates:
     def test_critical_rate_transition(self):
         for eps in (0.11, 0.25):
             rc = critical_rate(eps)
-            assert random_coding_exponent(rc - 0.01, bsc_joint(eps)).theta_star == 1.0
-            assert random_coding_exponent(rc + 0.01, bsc_joint(eps)).theta_star < 1.0 - 1e-6
+            assert random_coding_exponent(rc - 0.01, ChannelSpec("bsc", eps)).theta_star == 1.0
+            assert random_coding_exponent(rc + 0.01, ChannelSpec("bsc", eps)).theta_star < 1.0 - 1e-6
 
     def test_critical_rate_limit_toward_half(self):
         assert abs(critical_rate(0.4999999) - LN2) <= 1e-5
@@ -409,11 +415,11 @@ SCALAR_CASES = [
     # er-general takes a channel of either family, given in full; a family
     # kind gives only its probability.
     ("er-general", None, ChannelSpec("bsc", 0.11),
-     lambda r: random_coding_exponent(r, bsc_joint(0.11))),
-    ("er-bec", 0.3, None, lambda r: random_coding_exponent(r, bec_joint(0.3))),
-    ("er-bsc", 0.11, None, lambda r: random_coding_exponent(r, bsc_joint(0.11))),
+     lambda r: random_coding_exponent(r, ChannelSpec("bsc", 0.11))),
+    ("er-bec", 0.3, None, lambda r: random_coding_exponent(r, ChannelSpec("bec", 0.3))),
+    ("er-bsc", 0.11, None, lambda r: random_coding_exponent(r, ChannelSpec("bsc", 0.11))),
     ("ex-bec", 0.3, None, lambda r: expurgation_exponent_bec(r, 0.7)),
-    ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bsc(r, 0.11)),
+    ("ex-bsc-reduction", 0.11, None, lambda r: expurgation_exponent_bec(r, bsc_delta(0.11))),
 ]
 
 

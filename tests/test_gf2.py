@@ -21,7 +21,9 @@ from leakexp.gf2 import (
     reduced_basis,
 )
 
-from column_sets import IndexSet, format_matrix, identity, submatrix_cols, to_rows
+from column_sets import (
+    IndexSet, format_matrix, from_rows, identity, submatrix_cols, to_rows,
+)
 
 
 def row_space(m: BinMatrix) -> set[int]:
@@ -38,7 +40,7 @@ def rank_oracle(m: BinMatrix) -> int:
 class TestBinMatrix:
     def test_from_rows_round_trip(self):
         rows = ((1, 0, 1), (0, 1, 1))
-        m = BinMatrix.from_rows(rows)
+        m = from_rows(rows)
         assert (m.rows, m.cols) == (2, 3)
         assert to_rows(m) == rows
         assert m.to_bit_strings() == ("101", "011")
@@ -51,9 +53,13 @@ class TestBinMatrix:
         assert rank(m) == 4
 
     def test_column_ints(self):
-        m = BinMatrix.from_rows(((1, 1, 0), (0, 1, 1)))
+        m = from_rows(((1, 1, 0), (0, 1, 1)))
         # column j packs entry (i, j) into bit i
         assert m.column_ints() == (0b01, 0b11, 0b10)
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="negative dimension"):
+            BinMatrix(-1, 0, ())
 
     def test_empty_matrix_allowed(self):
         m = BinMatrix(0, 5, ())
@@ -69,11 +75,11 @@ class TestBinMatrix:
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
-            BinMatrix.from_rows(((1, 0), (1,)))
+            from_rows(((1, 0), (1,)))
 
     def test_non_binary_entry_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            BinMatrix.from_rows(((0, 2),))
+            from_rows(((0, 2),))
 
 
 class TestIndexSet:
@@ -127,25 +133,25 @@ class TestRank:
         assert len(basis) == rank_oracle(m) == rank(m)
 
     def test_known_values(self):
-        assert rank(BinMatrix.from_rows(((1, 1), (1, 1)))) == 1
-        assert rank(BinMatrix.from_rows(((1, 1, 0), (0, 1, 1), (1, 0, 1)))) == 2
+        assert rank(from_rows(((1, 1), (1, 1)))) == 1
+        assert rank(from_rows(((1, 1, 0), (0, 1, 1), (1, 0, 1)))) == 2
         assert rank(identity(6)) == 6
 
 
 class TestSubmatrixCols:
     def test_selects_in_original_order(self):
-        m = BinMatrix.from_rows(((1, 0, 1, 1), (0, 1, 1, 0)))
+        m = from_rows(((1, 0, 1, 1), (0, 1, 1, 0)))
         sub = submatrix_cols(m, IndexSet(4, {1, 3, 4}))
         assert to_rows(sub) == ((1, 1, 1), (0, 1, 0))
 
     def test_empty_selection(self):
-        m = BinMatrix.from_rows(((1, 0),))
+        m = from_rows(((1, 0),))
         sub = submatrix_cols(m, IndexSet(2))
         assert (sub.rows, sub.cols) == (1, 0)
         assert rank(sub) == 0
 
     def test_ambient_mismatch_rejected(self):
-        m = BinMatrix.from_rows(((1, 0, 1),))
+        m = from_rows(((1, 0, 1),))
         with pytest.raises(ValueError, match="does not match"):
             submatrix_cols(m, IndexSet(4, {1}))
 

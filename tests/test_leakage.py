@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakexp import leakage
-from leakexp.channels import ChannelSpec, bec_joint, bsc_joint
+from leakexp.channels import ChannelSpec
 from leakexp.errors import InvariantViolationError, SizeLimitError
 from leakexp.gf2 import BinMatrix, parse_matrix, random_matrix, rank
 from leakexp.leakage import (
@@ -45,6 +45,7 @@ from column_sets import (
     IndexSet,
     column_value_profile,
     from_columns,
+    from_rows,
     identity,
     per_sample_errors,
     submatrix_cols,
@@ -91,7 +92,7 @@ class TestBruteForceGate:
         m = random_matrix(min(k, n), n, seed)
         eps = (0.11, 0.25, 0.5, 0.7)[seed % 4]
         exact = exact_leakage_bec(m, eps).leakage_nats
-        brute = brute_force_leakage(m, bec_joint(eps))
+        brute = brute_force_leakage(m, "bec", eps)
         assert abs(exact - brute) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(15))
@@ -101,7 +102,7 @@ class TestBruteForceGate:
         m = random_matrix(min(k, n), n, 50 + seed)
         eps = (0.05, 0.11, 0.25, 0.4)[seed % 4]
         exact = exact_leakage_bsc(m, eps).leakage_nats
-        brute = brute_force_leakage(m, bsc_joint(eps))
+        brute = brute_force_leakage(m, "bsc", eps)
         assert abs(exact - brute) <= 1e-9
 
     def test_bec_matches_rank_sum_oracle(self):
@@ -149,7 +150,7 @@ class TestBruteForceGate:
         m = parse_matrix("1 2\n11\n")
         got = exact_leakage_bec(m, 0.4).leakage_nats
         assert abs(got - (1 - 0.4) ** 2 * LN2) <= 1e-15
-        assert abs(brute_force_leakage(m, bec_joint(0.4)) - got) <= 1e-12
+        assert abs(brute_force_leakage(m, "bec", 0.4) - got) <= 1e-12
 
     def test_single_bit_identity(self):
         m = parse_matrix("1 1\n1\n")
@@ -168,13 +169,13 @@ class TestBruteForceGate:
         assert abs(exact_leakage_bsc(m, 0.11).leakage_nats - expect) <= 1e-14
 
     def test_zero_matrix_leaks_nothing(self):
-        z = BinMatrix.from_rows(((0, 0, 0), (0, 0, 0)))
+        z = from_rows(((0, 0, 0), (0, 0, 0)))
         assert exact_leakage_bec(z, 0.3).leakage_nats == 0.0
         assert exact_leakage_bsc(z, 0.3).leakage_nats == 0.0
         assert exact_leakage_bec(z, 0.3).hash_entropy_nats == 0.0
 
     def test_rank_deficient_entropy_uses_rank(self):
-        m = BinMatrix.from_rows(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        m = from_rows(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
         assert exact_leakage_bec(m, 0.2).hash_entropy_nats == 2 * LN2
 
     def test_extreme_erasure_probabilities(self):
@@ -195,9 +196,9 @@ class TestBruteForceGate:
 
     def test_brute_force_size_limits(self):
         with pytest.raises(SizeLimitError):
-            brute_force_leakage(random_matrix(2, 13, 0), bec_joint(0.5))
+            brute_force_leakage(random_matrix(2, 13, 0), "bec", 0.5)
         with pytest.raises(SizeLimitError):
-            brute_force_leakage(random_matrix(2, 15, 0), bsc_joint(0.5))
+            brute_force_leakage(random_matrix(2, 15, 0), "bsc", 0.5)
 
     def test_enumeration_size_limit(self):
         wide = BinMatrix(1, 27, (1,))
@@ -214,9 +215,9 @@ class TestBruteForceGate:
         assert p_ml_erasure(m, 0.5).value == 1.0
         bec = exact_leakage_bec(m, 0.5)
         assert bec.bound_nats == 2.0
-        assert abs(bec.leakage_nats - brute_force_leakage(m, bec_joint(0.5))) <= 1e-12
+        assert abs(bec.leakage_nats - brute_force_leakage(m, "bec", 0.5)) <= 1e-12
         bsc = exact_leakage_bsc(m, 0.2)
-        assert abs(bsc.leakage_nats - brute_force_leakage(m, bsc_joint(0.2))) <= 1e-12
+        assert abs(bsc.leakage_nats - brute_force_leakage(m, "bsc", 0.2)) <= 1e-12
 
 
 class TestExactMethod:
@@ -279,7 +280,7 @@ class TestPmlErasure:
         assert abs(p_ml_erasure(ham, 0.2).value - 0.05628160000000003) <= 1e-15
 
     def test_zero_row_always_fails(self):
-        z = BinMatrix.from_rows(((0, 0),))
+        z = from_rows(((0, 0),))
         assert p_ml_erasure(z, 0.3).value == 1.0
 
     def test_monotone_in_delta(self):
@@ -636,7 +637,7 @@ class TestBestMatrixSearch:
     @staticmethod
     def draw_in_order(monkeypatch, rows):
         # Trial i draws the i-th matrix of `rows`, whatever its seed.
-        drawn = iter([BinMatrix.from_rows(r) for r in rows])
+        drawn = iter([from_rows(r) for r in rows])
         monkeypatch.setattr(leakage, "random_matrix", lambda k, n, seed: next(drawn))
 
     def test_ties_keep_the_first_trial(self, monkeypatch):
@@ -645,7 +646,7 @@ class TestBestMatrixSearch:
         rows = [[[1, 0, 0]], [[1, 1, 0]], [[0, 1, 1]], [[1, 0, 1]]]
         self.draw_in_order(monkeypatch, rows)
         best, report = best_matrix_search(1, 3, ChannelSpec("bec", 0.5), len(rows), 0)
-        assert best == BinMatrix.from_rows(rows[1])
+        assert best == from_rows(rows[1])
         assert report.leakage_nats == exact_leakage_bec(best, 0.5).leakage_nats
 
     def test_without_full_rank_falls_back_to_the_least_leakage(self, monkeypatch):
@@ -657,7 +658,7 @@ class TestBestMatrixSearch:
         ]
         self.draw_in_order(monkeypatch, rows)
         best, report = best_matrix_search(2, 3, ChannelSpec("bec", 0.5), len(rows), 0)
-        assert best == BinMatrix.from_rows(rows[1])
+        assert best == from_rows(rows[1])
         assert report.hash_entropy_nats == LN2
         assert abs(report.leakage_nats - LN2 * 0.5**3) <= 1e-15
 

@@ -25,7 +25,8 @@ from leakexp.gf2 import BinMatrix, random_matrix, rank
 from leakexp.leakage import _subset_sum, _subset_sum_profile
 
 from column_sets import (
-    IndexSet, by_rank, column_value_profile, from_columns, identity, submatrix_cols,
+    IndexSet, by_rank, column_value_profile, from_columns, from_rows, identity,
+    submatrix_cols,
 )
 
 
@@ -57,7 +58,7 @@ def matrices(draw) -> BinMatrix:
 @example(identity(6))
 @example(BinMatrix(4, 7, (0,) * 4))
 @example(from_columns(5, [3, 3, 0, 5, 6, 3, 0, 5]))
-@example(BinMatrix.from_rows(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))))
+@example(from_rows(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))))
 @example(BinMatrix(3, 2, (1, 2, 3)))
 # The shapes that were slowest for a depth-first walk: only zero and repeated
 # columns, and every value of F_2^3 with repeats.
