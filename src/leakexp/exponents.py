@@ -51,7 +51,7 @@ LN2 = math.log(2.0)
 _STEP_TOL = 1e-14
 # A bound on the steps of any one root; the preset curves need at most 8.
 _MAX_STEPS = 100
-# The most rates per curve: er-bsc at 10^6 takes about 1.2-1.8 s and 76 MB.
+# The most rates per curve; a 10^6-rate er-bsc CLI run takes 1.2-1.8 s and 54 MB.
 _MAX_CURVE_STEPS = 10**6
 _CSV_ROWS = 4096  # rates per batched solve in curve, rows per % call in to_csv
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
@@ -93,7 +93,9 @@ class OptResult:
 class CurveTable:
     """Sampled exponent curve as read-only float64 columns: the rates, strictly
     increasing, their finite values and their tilts (inf at the rate-0 limit).
-    Tables compare by identity, as `==` over arrays has no truth value."""
+    A float64 array is taken over and made read-only, not copied; anything
+    else is converted. Tables compare by identity, as `==` over arrays has no
+    truth value."""
 
     r_nats: np.ndarray
     value_nats: np.ndarray
@@ -101,7 +103,7 @@ class CurveTable:
 
     def __post_init__(self) -> None:
         for name in ("r_nats", "value_nats", "theta_star"):
-            col = np.array(getattr(self, name), dtype=np.float64)
+            col = np.asarray(getattr(self, name), dtype=np.float64)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
@@ -230,27 +232,6 @@ def _check_delta(delta: float) -> None:
         )
 
 
-def _divergence_slope(
-    rate: np.ndarray,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """x -> (rate - D(x), -D'(x), rate + D(x)) for D(x) = ln 2 - h(1/2 - x),
-    with y = 2x and D'(x) = 2*atanh(y) = log1p(y) - log1p(-y).
-
-    D is y*atanh(y) + log1p(-y^2)/2 below y = 1/2, which loses no digits as
-    x -> 0, and ((1+y)*log1p(y) + (1-y)*log1p(-y))/2 above, which loses none as
-    x -> 1/2."""
-
-    def slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = 2.0 * x
-        up, down = np.log1p(y), np.log1p(-y)
-        low = 0.5 * (y * (up - down) + np.log1p(-y * y))
-        high = 0.5 * ((1.0 + y) * up + (1.0 - y) * down)
-        d = np.where(y < 0.5, low, high)
-        return rate - d, down - up, rate + d
-
-    return slope
-
-
 def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta*, value, p*) of expurgation_exponent_bec at each rate.
 
@@ -267,7 +248,20 @@ def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     lo, hi = np.zeros_like(rates), np.full_like(rates, x_c)
     # D(x) >= 2x^2, so the start sqrt(rate/2) is at or right of the root.
     start = np.minimum(np.sqrt(0.5 * rates), x_c)
-    x = _decreasing_root(_divergence_slope(rates), lo, hi, start)
+
+    def slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (rate - D(x), -D'(x), rate + D(x)) for D(x) = ln 2 - h(1/2 - x), y = 2x,
+        # D'(x) = 2*atanh(y) = log1p(y) - log1p(-y). D is y*atanh(y) + log1p(-y^2)/2
+        # below y = 1/2, which loses no digits as x -> 0, and
+        # ((1+y)*log1p(y) + (1-y)*log1p(-y))/2 above, which loses none as x -> 1/2.
+        y = 2.0 * x
+        up, down = np.log1p(y), np.log1p(-y)
+        low = 0.5 * (y * (up - down) + np.log1p(-y * y))
+        high = 0.5 * ((1.0 + y) * up + (1.0 - y) * down)
+        d = np.where(y < 0.5, low, high)
+        return rates - d, down - up, rates + d
+
+    x = _decreasing_root(slope, lo, hi, start)
     inner = x < x_c
     p = np.where(inner, 0.5 - x, delta / (1.0 + delta))
     with np.errstate(divide="ignore"):

@@ -40,10 +40,8 @@ class BinMatrix:
                 raise ValueError(f"row {i + 1} does not fit in {self.cols} columns")
 
     def to_bit_strings(self) -> tuple[str, ...]:
-        return tuple(
-            "".join("1" if (b >> j) & 1 else "0" for j in range(self.cols))
-            for b in self.bits
-        )
+        # bin() under a sentinel bit 1 << cols, reversed without its "0b1".
+        return tuple(bin(b | 1 << self.cols)[:2:-1] for b in self.bits)
 
     def column_ints(self) -> tuple[int, ...]:
         """Columns packed the other way: bit i of column j is entry (i+1, j+1)."""
@@ -120,16 +118,10 @@ def parse_matrix(text: str) -> BinMatrix:
     for i in range(k):
         row = lines[i + 1]
         if len(row) != n:
-            raise InputParseError(
-                f"line {i + 2}: expected {n} characters, got {len(row)}"
-            )
-        v = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                v |= 1 << j
-            elif ch != "0":
-                raise InputParseError(
-                    f"line {i + 2}, column {j + 1}: invalid character {ch!r}"
-                )
-        packed.append(v)
+            raise InputParseError(f"line {i + 2}: expected {n} characters, got {len(row)}")
+        # Only 0s and 1s reach int(), whose grammar also takes signs and '_'.
+        j = n - len(row.lstrip("01"))
+        if j < n:
+            raise InputParseError(f"line {i + 2}, column {j + 1}: invalid character {row[j]!r}")
+        packed.append(int(row[::-1] or "0", 2))
     return BinMatrix(k, n, tuple(packed))

@@ -56,14 +56,16 @@ def test_to_csv_matches_row_by_row_reference(cols):
     r, value, theta = (c.tolist() for c in cols)
     table = CurveTable(*cols)
     assert "".join(table.to_csv()) == reference_csv(r, value, theta)
-    # The table keeps its own copies.
-    cols[0][0] = 7.0
-    assert table.r_nats.tolist() == r
+    # The table takes the arrays over: no copy, and no one writes them after.
+    assert table.r_nats is cols[0]
+    with pytest.raises(ValueError):
+        cols[0][0] = 7.0
 
 
 def test_columns_are_read_only():
     tables = [
         CurveTable(np.array([0.0, 0.5]), np.array([0.3, 0.1]), np.array([math.inf, 1.0])),
+        CurveTable([0.0, 0.5], [0.3, 0.1], [math.inf, 1.0]),
         curve("ex-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 5),
     ]
     for table in tables:

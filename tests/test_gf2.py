@@ -5,6 +5,9 @@ space directly, with no pivoting or packing shared with the implementation.
 The column-subset helpers the oracles of the other test modules use
 (tests/column_sets.py) are checked here too.
 """
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,16 @@ class TestMatrixText:
         m = random_matrix(3, 9, 7)
         assert parse_matrix(format_matrix(m)) == m
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    def test_round_trip_across_word_sizes(self, n):
+        # All zeros, all ones and random bits; column 1 is the first character.
+        bits = (0, (1 << n) - 1, random.Random(n).getrandbits(n))
+        m = BinMatrix(3, n, bits)
+        assert m.to_bit_strings() == tuple(
+            "".join(str(b >> j & 1) for j in range(n)) for b in bits
+        )
+        assert parse_matrix(format_matrix(m)) == m
+
     def test_parse_example(self):
         m = parse_matrix("2 3\n101\n011\n")
         assert m.to_bit_strings() == ("101", "011")
@@ -205,10 +218,21 @@ class TestMatrixText:
             ("1 3\n102\n", "line 2, column 3"),
             ("2 2\n10\n", "line 3"),
             ("1 2\n10\n11\n", "line 3: unexpected content"),
+            # int(..., 2) reads each of these rows; the format takes only 0 and 1.
+            ("1 3\n1_0\n", "line 2, column 2: invalid character '_'"),
+            ("1 3\n+10\n", "line 2, column 1: invalid character '+'"),
+            ("1 3\n-10\n", "line 2, column 1: invalid character '-'"),
+            ("1 3\n 10\n", "line 2, column 1: invalid character ' '"),
+            ("1 3\n10 \n", "line 2, column 3: invalid character ' '"),
+            ("1 3\n1\t0\n", "line 2, column 2: invalid character '\\t'"),
+            ("1 3\n0b1\n", "line 2, column 2: invalid character 'b'"),
+            ("1 2\n１0\n", "line 2, column 1: invalid character '１'"),
+            ("1 2\n٠1\n", "line 2, column 1: invalid character '٠'"),
+            ("1 3\n1\x000\n", "line 2, column 2: invalid character '\\x00'"),
         ],
     )
     def test_errors_name_position(self, text, fragment):
-        with pytest.raises(InputParseError, match=fragment):
+        with pytest.raises(InputParseError, match=re.escape(fragment)):
             parse_matrix(text)
 
     def test_format_ends_with_newline(self):

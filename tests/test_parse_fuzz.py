@@ -42,10 +42,12 @@ dimension = st.one_of(st.integers(-2, 30), st.integers(min_value=0))
 
 @st.composite
 def near_matrices(draw) -> str:
-    """A header and rows mostly over {0, 1}, with the shape often wrong."""
+    """A header and rows mostly over {0, 1}, with the shape often wrong. The
+    other row characters include what int() would read: signs, '_', 'b',
+    spaces and digits of other scripts."""
     head = f"{draw(dimension)} {draw(dimension)}"
     head = draw(st.sampled_from([head, head + " 1", " " + head, head.replace(" ", "\t")]))
-    rows = draw(st.lists(st.text(alphabet="01 x\t", max_size=14), max_size=6))
+    rows = draw(st.lists(st.text(alphabet="01 x\t_+-b１٠", max_size=14), max_size=6))
     sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return sep.join([head, *rows]) + draw(st.sampled_from(["", sep, sep + sep]))
 
