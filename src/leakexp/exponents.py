@@ -1,23 +1,25 @@
 """Error-exponent curves for secrecy rates over binary side channels.
 
-Every exponent here is a concave maximization over a tilt theta, solved where
-its slope vanishes by one root-finder run on all rates of a curve at once.
+Every exponent here is a concave maximization over a tilt theta, taken where
+its slope vanishes, for all rates of a curve at once.
 
 Random-coding exponents maximize over theta in [0, 1]. For either channel
 family they use one evaluator of the tilted source, -log1p(sum m*expm1(theta*l))
 over its (mass, ln P(x|z)) terms, which keeps its relative precision as
 theta -> 0. The slope is minus the tilted mean of l less the rate,
-H(X|Z) - R at theta = 0, and decreases with theta.
+H(X|Z) - R at theta = 0, and decreases with theta. The cells of either family
+take at most two values of l, so the slope's root has a closed form.
 Expurgation-style exponents maximize over theta >= 1. Their slope is
 ln 2 - R - h(p) with p = t/(1+t) and t = delta^(1/theta), so they are solved on
 x = 1/2 - p from ln 2 - h(1/2 - x) = R, and the value is -p*ln(delta); that p
 is also the minimizer of their constrained form, returned as p_star.
 
-The root-finder takes Newton steps inside a sign bracket, bisecting where a
-step would leave it. Each rate stops once its slope is at its rounding floor,
-2^-51 of the terms it subtracts (the rate and the tilted mean, or the rate
-and ln 2 - h(p)), or its step is below 1e-14; a slope of one sign returns
-that end exactly.
+The expurgation root is found by Newton steps inside a sign bracket, started
+to the right of the root, bisecting where a step would leave the bracket.
+Each rate stops once its slope is at its rounding floor, 2^-51 of the terms
+it subtracts (the rate and ln 2 - h(p)), or its step is below 1e-14; a slope
+of one sign returns that end exactly. The closed-form tilt meets the same
+floor, with the rate and the tilted mean as its terms.
 Values are raw (possibly negative); clamping to zero is an emission-time
 option on `curve`, never applied inside operations. `curve` returns the
 rates, values and tilts of its batched solve as the columns of a CurveTable.
@@ -49,9 +51,9 @@ __all__ = [
 LN2 = math.log(2.0)
 
 _STEP_TOL = 1e-14
-# A bound on the steps of any one root; the preset curves need at most 8.
+# A bound on the steps of any one root; the preset curves need at most 4.
 _MAX_STEPS = 100
-# The most rates per curve; a 10^6-rate er-bsc CLI run takes 1.2-1.8 s and 54 MB.
+# The most rates per curve; a 10^6-rate er-bsc CLI run takes 1.3-1.4 s and 55 MB.
 _MAX_CURVE_STEPS = 10**6
 _CSV_ROWS = 4096  # rates per batched solve in curve, rows per % call in to_csv
 _Terms = tuple[tuple[float, float], ...]  # (mass, ln P(x|z)) of a tilted source
@@ -124,10 +126,13 @@ def _decreasing_root(
     lo: np.ndarray,
     hi: np.ndarray,
     x: np.ndarray,
+    g_lo: np.ndarray,
+    g_hi: np.ndarray,
 ) -> np.ndarray:
     """Roots of m decreasing functions at once, problem i on [lo[i], hi[i]]
-    started at x[i]; `slope` maps m points to the m values, derivatives and
-    sizes (the summed magnitudes of the terms the value subtracts).
+    started at x[i], with values g_lo[i] and g_hi[i] at its ends; `slope`
+    maps m points to the m values, derivatives and sizes (the summed
+    magnitudes of the terms the value subtracts).
 
     A problem whose value is <= 0 at lo returns lo, one whose value is >= 0
     at hi returns hi. The others take Newton steps inside a bracket with a
@@ -138,7 +143,6 @@ def _decreasing_root(
     arithmetic as a solve of it alone.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_lo, g_hi = slope(lo)[0], slope(hi)[0]
         x = np.where(g_lo <= 0.0, lo, np.where(g_hi >= 0.0, hi, x))
         active = (g_lo > 0.0) & (g_hi < 0.0)
         for _ in range(_MAX_STEPS):
@@ -197,17 +201,36 @@ def _tilt(terms: _Terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return total, mean, second / norm - mean * mean
 
 
-def _max_tilt(terms: _Terms, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta*, value) of the random-coding exponent at each rate. The slope's
-    size is rate - mean, as no l is positive; the value is written 0.0 - x so
-    that theta = 0 gives +0.0."""
+def _max_tilt(channel: ChannelSpec, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta*, value) of the random-coding exponent at each rate.
 
-    def slope(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, mean, var = _tilt(terms, theta)
-        return -mean - rates, -var, rates - mean
-
-    lo, hi = np.zeros_like(rates), np.ones_like(rates)
-    theta = _decreasing_root(slope, lo, hi, np.full_like(rates, 0.5))
+    The cells take at most two log-ratios l_1 > l_2, of masses m_1 and m_2,
+    so the slope -mean - R vanishes where e^(theta*(l_1 - l_2)) =
+    1 + (H - R)/(m_1*(R + l_1)), H = H(X|Z). theta* is 0 where R >= H and 1
+    where R <= R_1, the slope's root at theta = 1; H and R_1 are minus the
+    tilted means at 0 and 1, so the ends fall exactly where the slope's sign
+    says. With a mass of 0 or l_1 = l_2, H = R_1 and the ends cover every
+    rate. The value is written 0.0 - x so that theta = 0 gives +0.0.
+    """
+    terms = _tilt_terms(channel)
+    h, r_1 = (-_tilt(terms, np.array([t]))[1] for t in (0.0, 1.0))
+    # (mass, l) of each cell, from the family: `terms` drop a bit-flip cell
+    # whose l rounds to 0, and their masses can miss 1.
+    eps = channel.eps
+    if channel.family == "bec":
+        cells = [(1.0 - eps, 0.0), (eps, -LN2)]
+    elif 0.0 < eps < 1.0:
+        cells = [(1.0 - eps, math.log1p(-eps)), (eps, math.log(eps))]
+    else:  # no flip or a certain one: P(x|z) = 1
+        cells = [(1.0, 0.0), (0.0, -math.inf)]
+    (m_1, l_1), (m_2, l_2) = sorted(cells, key=lambda c: -c[1])
+    inner = 1.0
+    if m_1 > 0.0 and m_2 > 0.0 and l_1 > l_2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmin takes to 1 a tilt rounded past 1, and the NaN of a rate
+            # at or below -l_1, which lies above R_1 only by rounding.
+            inner = np.fmin(np.log1p((h - rates) / (m_1 * (rates + l_1))) / (l_1 - l_2), 1.0)
+    theta = np.where(rates >= h, 0.0, np.where(rates <= r_1, 1.0, inner))
     return theta, 0.0 - np.log1p(_tilt(terms, theta)[0]) - theta * rates
 
 
@@ -221,7 +244,7 @@ def random_coding_exponent(rate: float, channel: ChannelSpec) -> OptResult:
     once the rate reaches H(X|Z)."""
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    theta, value = _max_tilt(_tilt_terms(channel), np.array([rate]))
+    theta, value = _max_tilt(channel, np.array([rate]))
     return OptResult(float(value[0]), float(theta[0]), None, "max-theta")
 
 
@@ -246,8 +269,6 @@ def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     # Kept below 1/2 so that D'(x) stays finite for the tiniest deltas.
     x_c = min(0.5 * (1.0 - delta) / (1.0 + delta), math.nextafter(0.5, 0.0))
     lo, hi = np.zeros_like(rates), np.full_like(rates, x_c)
-    # D(x) >= 2x^2, so the start sqrt(rate/2) is at or right of the root.
-    start = np.minimum(np.sqrt(0.5 * rates), x_c)
 
     def slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (rate - D(x), -D'(x), rate + D(x)) for D(x) = ln 2 - h(1/2 - x), y = 2x,
@@ -261,7 +282,12 @@ def _expurgation(rates: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
         d = np.where(y < 0.5, low, high)
         return rates - d, down - up, rates + d
 
-    x = _decreasing_root(slope, lo, hi, start)
+    # D(x) >= y^2/2 + y^4/12, so the root has y^2 <= 12R/(3 + sqrt(9 + 12R)):
+    # a start at or right of it, from where Newton on the convex D descends
+    # to the root without leaving the bracket. D(0) = 0, and D(x_c) is taken
+    # once for every rate.
+    start = np.minimum(0.5 * np.sqrt(12.0 * rates / (3.0 + np.sqrt(9.0 + 12.0 * rates))), x_c)
+    x = _decreasing_root(slope, lo, hi, start, rates, slope(np.array([x_c]))[0])
     inner = x < x_c
     p = np.where(inner, 0.5 - x, delta / (1.0 + delta))
     with np.errstate(divide="ignore"):
@@ -355,12 +381,10 @@ def curve(
     if ex:
         # For an erasure channel the virtual one erases what the eavesdropper keeps.
         delta = 1.0 - channel.eps if channel.family == "bec" else bsc_delta(channel.eps)
-    else:
-        terms = _tilt_terms(channel)
     theta, value = np.empty_like(rates), np.empty_like(rates)
     for lo in range(0, steps, _CSV_ROWS):
         block = rates[lo:lo + _CSV_ROWS]
-        solved = _expurgation(block, delta)[:2] if ex else _max_tilt(terms, block)
+        solved = _expurgation(block, delta)[:2] if ex else _max_tilt(channel, block)
         theta[lo:lo + _CSV_ROWS], value[lo:lo + _CSV_ROWS] = solved
     if clamp:
         value[value < 0.0] = 0.0

@@ -82,10 +82,15 @@ def check_shape(k: int, n: int) -> None:
 
 
 def random_matrix(k: int, n: int, seed: int) -> BinMatrix:
-    """I.i.d. uniform k x n matrix; identical (k, n, seed) is bit-identical everywhere."""
+    """I.i.d. uniform k x n matrix; identical (k, n, seed) is bit-identical everywhere.
+
+    Entry i in row-major order is the top bit of byte i of PCG64(seed)'s raw
+    output, each 64-bit word taken little-endian: the same bits that
+    default_rng(seed).integers(0, 2, (k, n), dtype=np.uint8) returns.
+    """
     check_shape(k, n)
-    rng = np.random.default_rng(seed)
-    ent = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    raw = np.random.PCG64(seed).random_raw(-(-k * n // 8)).astype("<u8", copy=False)
+    ent = (raw.view(np.uint8)[:k * n] >> 7).reshape(k, n)
     rows = np.packbits(ent, axis=1, bitorder="little")
     return BinMatrix(k, n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 

@@ -545,13 +545,13 @@ def exact_leakage_bsc(m: BinMatrix, eps: float) -> LeakageReport:
 
 def trial_seeds(seed: int, trials: int) -> Iterator[int]:
     """Per-trial random_matrix seeds drawn from one master seed, a block at a
-    time: int64 draws from one generator are the same however they are split,
-    so no trial count costs memory up front."""
+    time: the top 63 bits of each raw PCG64(seed) word, the values of
+    default_rng(seed).integers(0, 2**63, dtype=np.int64). The raw stream is
+    the same however it is split, so no trial count costs memory up front."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    blocks = (rng.integers(0, 2**63, size=min(_CHUNK, trials - lo), dtype=np.int64)
-              for lo in range(0, trials, _CHUNK))
+    bits = np.random.PCG64(seed)
+    blocks = (bits.random_raw(min(_CHUNK, trials - lo)) >> 1 for lo in range(0, trials, _CHUNK))
     return (s for block in blocks for s in block.tolist())
 
 

@@ -157,6 +157,41 @@ def ex_decimal(rate: float, delta: float, digits: int = 50) -> tuple[float, floa
         return float(-p * ln_delta), float(ln_delta / (p / (one - p)).ln())
 
 
+def er_decimal(rate: float, family: str, eps: float, digits: int = 60) -> tuple[float, float]:
+    """(value, theta) of the random-coding exponent in `digits`-digit decimal
+    arithmetic, over the cells of joint_table with masses normalised to sum
+    to 1: theta maximizes -ln sum P(x,z) P(x|z)^theta - theta*rate on [0, 1],
+    found by bisection on the sign of its slope, minus the tilted mean of
+    ln P(x|z) less the rate."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        table = joint_table(family, eps)
+        cells = [[Decimal(p) for p in row] for row in table]
+        pz = [a + b for a, b in zip(*cells)]
+        total = sum(pz)
+        terms = [(p / total, (p / q).ln()) for row in cells for p, q in zip(row, pz) if p > 0]
+        r = Decimal(rate)
+
+        def tilt(t: Decimal) -> tuple[Decimal, Decimal]:
+            weights = [(m * (t * ell).exp(), ell) for m, ell in terms]
+            norm = sum(w for w, _ in weights)
+            return norm, sum(w * ell for w, ell in weights) / norm
+
+        lo, hi = Decimal(0), Decimal(1)
+        if -tilt(lo)[1] - r <= 0:
+            hi = lo
+        elif -tilt(hi)[1] - r >= 0:
+            lo = hi
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            if -tilt(mid)[1] - r > 0:
+                lo = mid
+            else:
+                hi = mid
+        theta = (lo + hi) / 2
+        return float(-tilt(theta)[0].ln() - theta * r), float(theta)
+
+
 def joint_table(family: str, eps: float) -> tuple[tuple[float, ...], ...]:
     """P(X = x, Z = z) for a uniform bit x seen as z through a 'bec' or 'bsc'
     channel, one row per x; the erasure columns are z = 0, 1, erased."""

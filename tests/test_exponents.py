@@ -49,7 +49,8 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 class TestDecreasingRoot:
-    """The root-finder behind every exponent, on functions with known roots."""
+    """The root-finder behind the expurgation exponents, on functions with
+    known roots, and the closed-form random-coding tilt at its rounding floor."""
 
     @staticmethod
     def arctan_slope(c):
@@ -57,13 +58,18 @@ class TestDecreasingRoot:
         # problems also take the bisection fallback.
         return lambda x: (np.arctan(c - x), -1.0 / (1.0 + (c - x) ** 2), abs(c) + abs(x))
 
+    @staticmethod
+    def solve(slope, lo, hi, x):
+        """_decreasing_root with its end values read from `slope` itself."""
+        return _decreasing_root(slope, lo, hi, x, slope(lo)[0], slope(hi)[0])
+
     def test_roots_ends_and_batch_equal_each_alone(self):
         rng = np.random.default_rng(12)
         m = 40
         c = rng.uniform(-12.0, 12.0, m)
         lo, hi = np.full(m, -10.0), np.full(m, 10.0)
         start = rng.uniform(-10.0, 10.0, m)
-        x = _decreasing_root(self.arctan_slope(c), lo, hi, start)
+        x = self.solve(self.arctan_slope(c), lo, hi, start)
         for i in range(m):
             if c[i] <= -10.0:
                 assert x[i] == -10.0
@@ -72,39 +78,24 @@ class TestDecreasingRoot:
             else:
                 assert abs(x[i] - c[i]) <= 1e-14 * max(1.0, abs(c[i]))
             one = slice(i, i + 1)
-            alone = _decreasing_root(self.arctan_slope(c[one]), lo[one], hi[one], start[one])
+            alone = self.solve(self.arctan_slope(c[one]), lo[one], hi[one], start[one])
             assert x[i].hex() == alone[0].hex()
 
-    @staticmethod
-    def counted_er_bsc(monkeypatch, eps, rates):
-        """er-bsc's tilts at `rates`, solved through the library's own slope,
-        and the number of slope evaluations the batch took."""
-        calls = []
-
-        def counted(slope, lo, hi, x):
-            return _decreasing_root(lambda t: calls.append(t) or slope(t), lo, hi, x)
-
-        monkeypatch.setattr(exponents, "_decreasing_root", counted)
-        theta, _ = exponents._max_tilt(_tilt_terms(ChannelSpec("bsc", eps)), rates)
-        return theta, len(calls)
-
-    def test_flat_slope_stops_at_its_rounding_noise(self, monkeypatch):
-        # Near the root of er-bsc's slope at eps = 0.45, rounding noise moves
-        # Newton by about 1e-13, more than the 1e-14 step tolerance.
+    def test_flat_slope_stops_at_its_rounding_noise(self):
+        # At eps = 0.45 er-bsc's slope is flat near its root: its rounding
+        # noise there is about 1e-13.
         eps = 0.45
         rates = np.linspace(critical_rate(eps), h2(eps), 200)
-        theta, calls = self.counted_er_bsc(monkeypatch, eps, rates)
-        assert calls - 2 <= 12
+        theta, _ = exponents._max_tilt(ChannelSpec("bsc", eps), rates)
         for t, r in zip(theta.tolist(), rates.tolist()):
             assert abs(closed_forms.er_bsc_slope(t, r, eps)) <= 1e-13
 
-    @pytest.mark.parametrize("eps", [0.49999, 0.4999999])
-    def test_nearly_flat_slope_stops_at_its_rounding_floor(self, monkeypatch, eps):
-        # The tilted variance, Newton's curvature, is 1e-10 or less here, so
-        # a stop rule on step lengths alone reads rounding noise as progress.
+    @pytest.mark.parametrize("eps", [0.45, 0.49999, 0.4999999])
+    def test_nearly_flat_slope_stops_at_its_rounding_floor(self, eps):
+        # The tilted variance is 1e-10 or less at the two flattest channels,
+        # so the slope is rounding noise over a wide span of tilts.
         rates = np.linspace(critical_rate(eps), h2(eps), 5001)
-        theta, calls = self.counted_er_bsc(monkeypatch, eps, rates)
-        assert calls <= 12
+        theta, _ = exponents._max_tilt(ChannelSpec("bsc", eps), rates)
         interior = (theta > 0.0) & (theta < 1.0)
         assert interior.sum() > 4900
         for t, r in zip(theta[interior].tolist(), rates[interior].tolist()):
@@ -115,7 +106,7 @@ class TestDecreasingRoot:
     def test_root_at_an_end_is_that_end(self):
         # value 0 at lo means a root there, not a search
         slope = lambda x: (-x, -np.ones_like(x), abs(x))
-        got = _decreasing_root(slope, np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.5, -0.5]))
+        got = self.solve(slope, np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.5, -0.5]))
         assert got.tolist() == [0.0, 0.0]
 
 
@@ -203,6 +194,23 @@ class TestRandomCodingExponent:
     def test_nonincreasing_in_rate(self):
         vals = [random_coding_exponent(r, ChannelSpec("bec", 0.5)).value for r in grid(0.0, LN2, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "channel", ["bec:0.1", "bec:0.5", "bec:0.9", "bsc:0.01", "bsc:0.11", "bsc:0.25", "bsc:0.4"]
+    )
+    def test_matches_decimal_reference(self, channel):
+        # Rates from near R_1 (unit tilt) to near H(X|Z) (zero tilt).
+        src = parse_channel(channel)
+        h = -_tilt(_tilt_terms(src), np.array([0.0]))[1][0]
+        r_1 = -_tilt(_tilt_terms(src), np.array([1.0]))[1][0]
+        for frac in (0.02, 0.25, 0.5, 0.75, 0.98):
+            r = float(r_1 + (h - r_1) * frac)
+            value, theta = closed_forms.er_decimal(r, src.family, src.eps)
+            got = random_coding_exponent(r, src)
+            assert 0.0 < theta < 1.0
+            assert abs(got.theta_star - theta) <= 1e-12 * theta
+            if value > 1e-6:
+                assert abs(got.value - value) <= 2e-12 * value
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -439,6 +447,19 @@ def assert_points_equal_scalar_calls(kind, param, src, scalar, steps):
         assert thetas[-1] == 0.0 and thetas[0] == 1.0
 
 
+# Five-rate curves on [0, ln 2] of the degenerate channels: H(X|Z) = 0, or
+# H(X|Z) = ln 2 with the unit tilt below it.
+ZERO_CURVE = (
+    "0,0,0,0,0\n0.17328679514,0,0.25,0,0\n0.34657359028,0,0.5,0,0\n"
+    "0.51986038542,0,0.75,0,0\n0.69314718056,0,1,0,0\n"
+)
+UNIT_TILT_CURVE = (
+    "0,0.69314718056,0,1,1\n0.17328679514,0.51986038542,0.25,0.75,1\n"
+    "0.34657359028,0.34657359028,0.5,0.5,1\n0.51986038542,0.17328679514,0.75,0.25,1\n"
+    "0.69314718056,0,1,0,0\n"
+)
+
+
 class TestCurve:
     def test_header_and_formatting(self):
         table = curve("er-bec", ChannelSpec("bec", 0.5), 0.0, LN2, 3)
@@ -473,6 +494,29 @@ class TestCurve:
         tail = table.r_nats >= 0.5 * LN2
         assert np.all(table.value_nats[tail] == 0.0)
         assert np.all(table.theta_star[tail] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["er-general", "er-family"])
+    @pytest.mark.parametrize(
+        "channel, text",
+        [
+            (channel, ZERO_CURVE) for channel in ("bec:0", "bsc:0", "bsc:1")
+        ] + [
+            (channel, UNIT_TILT_CURVE) for channel in ("bec:1", "bsc:0.5")
+        ] + [
+            ("bsc:0.7", "0,0.544727175442,0,0.785875194647,1\n"
+             "0.17328679514,0.371440380302,0.25,0.535875194647,1\n"
+             "0.34657359028,0.198153585162,0.5,0.285875194647,1\n"
+             "0.51986038542,0.0298962604212,0.75,0.0431311866508,0.69153622865\n"
+             "0.69314718056,0,1,0,0\n"),
+        ],
+    )
+    def test_degenerate_and_flipped_channels_keep_their_curves(self, kind, channel, text):
+        # A channel with one log-ratio (a mass of 0, or both equal) takes the
+        # end rules alone; bsc:0.7 has its larger log-ratio on the flip.
+        spec = parse_channel(channel)
+        kind = kind.replace("family", spec.family)
+        table = curve(kind, spec, 0.0, LN2, 5)
+        assert "".join(table.to_csv()) == "R_nats,value_nats,R_bits,value_bits,theta_star\n" + text
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
     def test_er_bec_tilt_near_closed_form_maximizer(self, eps):

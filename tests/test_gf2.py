@@ -180,10 +180,11 @@ class TestRandomMatrix:
 
     @pytest.mark.parametrize("k, n", [
         (k, n) for n in (0, 1, 7, 8, 9, 63, 64, 65, 130) for k in (0, 1, 3) if k <= n
-    ])
+    ] + [(0, 5), (2, 20), (5, 26), (11, 22), (26, 26)])
     def test_rows_are_the_drawn_bits_in_column_order(self, k, n):
         # The draws packed one entry at a time: bit j of row i is entry (i, j).
-        for seed in (0, 1, 2**62 + 5):
+        # random_matrix reads PCG64's raw stream and must keep these bits.
+        for seed in (*range(100), 2**40 + 7, 2**62 + 5, 2**63 - 1):
             ent = np.random.default_rng(seed).integers(0, 2, size=(k, n), dtype=np.uint8)
             rows = tuple(sum(int(ent[i, j]) << j for j in range(n)) for i in range(k))
             assert random_matrix(k, n, seed).bits == rows

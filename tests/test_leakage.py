@@ -681,6 +681,14 @@ class TestBestMatrixSearch:
         seeds = trial_seeds(3, 10**13)
         assert [next(seeds) for _ in range(5)] == list(trial_seeds(3, 5))
 
+    @pytest.mark.parametrize("seed", [0, 99, 2**40 + 7, 2**63 - 1])
+    def test_trial_seeds_are_the_generators_int64_draws(self, seed):
+        # Across the block boundary, as Generator.integers drew them before
+        # the seeds came from PCG64's raw stream.
+        rng = np.random.default_rng(seed)
+        whole = rng.integers(0, 2**63, size=leakage._CHUNK + 9, dtype=np.int64)
+        assert list(trial_seeds(seed, len(whole))) == whole.tolist()
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             trial_seeds(0, 0)
