@@ -328,7 +328,7 @@ def critical_rate(eps: float) -> float:
     bsc_delta(eps)  # raises on eps outside (0, 1/2)
     a = (1.0 - eps) ** 2
     b = eps * eps
-    return -(a * math.log(1.0 - eps) + b * math.log(eps)) / (a + b)
+    return -(a * math.log1p(-eps) + b * math.log(eps)) / (a + b)
 
 
 def expurgation_rate(delta: float) -> float:

@@ -11,9 +11,10 @@ distinct column values whose states are subspaces of F_2^k, at most 374,
 stepped through a table built once per k: O(#values * #subspaces) float
 operations, nothing built or cached per matrix. Above that it weights a
 profile counting the subsets by (rank, size), which a subset-sum transform
-over the codeword supports builds once per matrix: O(n 2^n) additions of
-nonzero-codeword counts, 8, 4 or 2 at a time in 64-bit words as rank <= 8,
-<= 16 or more needs, then one histogram key per two sets.
+over the codeword supports builds once per matrix, on the code or, above
+half rate, its dual, whichever has the lower rank: O(min(r, n - r) 2^n)
+additions of nonzero-codeword counts, 8 or 4 at a time in 64-bit words as
+that rank <= 8 or <= 13 needs, then one histogram key per two sets.
 Bit-flip leakage needs only the codeword weights, listed from B the reduced
 row basis (unique to the row space), and one Walsh-Hadamard transform,
 O(r 2^r).
@@ -123,19 +124,21 @@ def exact_method(family: str, k: int, n: int, trials: int = 1) -> str:
     `trials` matrices cost more than 2^46, 2^17 each plus the algorithm's."""
     if n > 26:
         raise SizeLimitError(f"matrix has {n} columns; 2^n enumeration capped at n=26")
-    # bec splits at k = 5. Medians on random matrices (2-vCPU VM, numpy 2.4),
-    # span law/cold transform: 4x12 0.035/0.11 ms, 4x24 0.076/52, 5x12 0.105/
-    # 0.114, 5x24 0.26/50, the k = 5 table 2.7 ms once; at k = 6 the table takes
-    # 47 ms and the law loses up to n = 16: 6x12 0.46/0.19 ms, 6x16 0.67/0.38.
+    # bec splits at k = 5. Best of five on full-rank random matrices (2-vCPU VM,
+    # numpy 2.4), span law/cold transform: 4x12 0.027/0.086 ms, 4x24 0.11/26,
+    # 5x12 0.048/0.13, 5x24 0.57/28, the k = 5 table 2.7 ms once; at k = 6 the
+    # table takes 47 ms and the law wins nothing: 6x12 0.10/0.105 ms, 6x16
+    # 0.52/0.21.
     if family == "bsc":
         method, cost = "walsh-hadamard", min(k, n) * 2 ** min(k, n)
     elif k <= 5:
         method, cost = "span-law", 374 * 64 * n
     else:
         method, cost = "subset-sum", n * 2**n
-    # A trial took 0.04 ms at 1x2 bec, 0.07 ms at 1x2 bsc, 0.46 ms at 5x26, 3 ms
-    # at 6x20, 0.3 s at 8x26, 18-20 ms at 20x24 bsc and 0.8-1.1 s at 26x26 bsc
-    # (2-vCPU VM), so the largest run the cap admits takes about 3-20 h.
+    # A trial took 0.04 ms at 1x2 bec, 0.07 ms at 1x2 bsc, 0.46 ms at 5x26, 1.9
+    # ms at 6x20, 0.13 s at 8x26, 0.23 s at 13x26 (the slowest profile), 18-20
+    # ms at 20x24 bsc and 0.8-1.1 s at 26x26 bsc (2-vCPU VM), so the largest
+    # run the cap admits takes about 2.6-20 h.
     if trials * (2**17 + cost) > 2**46:
         raise SizeLimitError(f"{trials} trials at {k}x{n} exceed the work cap of 2^46")
     return method
@@ -213,8 +216,9 @@ def _span_law(m: BinMatrix, out: float) -> list[float]:
     return law
 
 
-def _subset_sum(a: np.ndarray, n: int) -> None:
-    """In place, a[S] becomes the sum of a[T] over the subsets T of S (Yates).
+def _subset_sum(a: np.ndarray, n: int, lo_bit: int = 0) -> None:
+    """In place, a[S] becomes the sum of a[T] over the subsets T of S that
+    agree with S on bits 0 .. lo_bit - 1: Yates's passes over bits lo_bit .. n - 1.
 
     `a` is a little-endian unsigned table, zero past its 2^n entries up to at
     least one 64-bit word. It is transformed as words of 2, 4 or 8 lanes, so no
@@ -226,14 +230,14 @@ def _subset_sum(a: np.ndarray, n: int) -> None:
     tmp = np.empty(min(len(words), _CHUNK), dtype=np.uint64)
     for lo in range(0, len(words), _CHUNK):
         w, t = words[lo:lo + _CHUNK], tmp[:len(words) - lo]
-        for s in (lane << i for i in range(in_word)):
+        for s in (lane << i for i in range(lo_bit, in_word)):
             # Pass i adds each lane whose index has bit i clear onto the lane
             # 2^i above it: the low s bits of every 2s-bit block, shifted by s.
             mask = np.uint64(sum(((1 << s) - 1) << b for b in range(0, 64, 2 * s)))
             w += np.left_shift(np.bitwise_and(w, mask, out=t), np.uint64(s), out=t)
     # The other passes add whole words, in runs of 2^(i - in_word). Runs of up
     # to 4 words go one offset at a time, so each numpy call is one long loop.
-    for i in range(in_word, n):
+    for i in range(max(lo_bit, in_word), n):
         run = 1 << (i - in_word)
         v = words.reshape(-1, 2, run)
         for j in range(run) if run <= 4 else [slice(None)]:
@@ -251,35 +255,48 @@ def _pair_size_keys(pairs: int, pair_type: np.dtype) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
-def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
-    """profile[d][s]: the number of s-column subsets J with rank(M_J) = d,
-    counted from the supports of the codewords.
+@lru_cache(maxsize=None)
+def _up_sets(bits: int, lane: np.dtype) -> np.ndarray:
+    """up[x][q] = 1 when the set bits of x are set in q, for x, q < 2^bits,
+    in `lane`. Read-only."""
+    q = np.arange(1 << bits, dtype=np.uint32)
+    out = ((q[:, None] & ~q) == 0).astype(lane)
+    out.flags.writeable = False
+    return out
 
-    With r = rank(M), the codewords whose support lies inside a column set S
-    are those vanishing on its complement J, a subspace of 2^L(S) words,
-    L(S) = r - rank(M_J). One subset-sum (zeta) transform over the 2^n sets
-    counts the nonzero ones, 2^L(S) - 1, for every S at once (Yates; Bjorklund
-    et al., STOC 2007), in the narrowest lane that holds 2^r - 1.
+
+def _systematic_profile(tails: list[int], f: int) -> list[list[int]]:
+    """counts[d][s]: the number of s-column subsets J with rank(G_J) = d, for
+    the r x (r + f) matrix G = [I_r | T] whose row i has tail T_i = tails[i],
+    d <= r.
+
+    The codewords whose support lies inside a column set S are those vanishing
+    on its complement J, a subspace of 2^L(S) words, L(S) = r - rank(G_J).
+    S takes G's pivot columns on its high r index bits and the tail columns
+    on its low f bits. Codeword u (bit i picking row i) is u on the pivots and
+    w(u), the XOR of its tails, on the tail columns, so its support lies
+    inside S = (P, Q) when u is a subset of P and w(u) of Q. Entry (u, Q)
+    of the table is 1 for u != 0 and w(u) inside Q: one AND of the up-sets of
+    w(u)'s low 8 bits and of the rest. A subset-sum (zeta) transform over the r
+    pivot bits then counts the nonzero codewords inside every S, 2^L(S) - 1
+    (Yates; Bjorklund et al., STOC 2007), in the narrowest lane that holds
+    2^r - 1.
     """
-    n, k = m.cols, m.rows
-    if n == 0:  # only the empty set, of rank 0
-        return ((1,),) + ((0,),) * k
-    # In reduced echelon form, sorted by leading bit, the basis spans its
-    # codewords in increasing order, so the scatter writes memory in order.
-    basis = reduced_basis(m)
-    r = len(basis)
+    r = len(tails)
+    n = r + f
     lane = np.dtype(np.min_scalar_type((1 << r) - 1)).newbyteorder("<")
     a = np.zeros(max(1 << n, 8 // lane.itemsize), dtype=lane)
-    # The codewords a block at a time: the span of the low basis vectors XOR
-    # one combination of the high ones. Those vanish on the low pivots, so
-    # each block keeps the order of the low span and lies above the last.
-    split = _CHUNK.bit_length() - 1
-    low = _xor_span(basis[:split])
-    for high in _xor_span(basis[split:]).tolist():
-        a[low ^ high] = 1
-    a[0] = 0  # the zero codeword
-    _subset_sum(a, n)
+    # The up-set rows of the low <= 8 tail bits come from a cached table, and
+    # 2^8 entries a row keep the broadcast's inner loops long.
+    lo_bits, hi_bits = min(f, 8), max(f - 8, 0)
+    w = _xor_span(tails)[1:]  # u = 0, the zero codeword, keeps its zero row
+    up_hi = ((w >> lo_bits)[:, None] & ~np.arange(1 << hi_bits, dtype=np.uint32)) == 0
+    np.bitwise_and(
+        up_hi.astype(lane)[:, :, None],
+        _up_sets(lo_bits, lane)[w & ((1 << lo_bits) - 1), None, :],
+        out=a[1 << f:1 << n].reshape(len(w), 1 << hi_bits, 1 << lo_bits),
+    )
+    _subset_sum(a, n, lo_bit=f)
     # Histogram chunk by chunk (a chunk starts at a multiple of its length),
     # per popcount of the high bits of S. L(S) = popcount(a[S]), the sum of
     # its lane's byte popcounts. An even S and S + 1 differ in column 0 only,
@@ -302,13 +319,50 @@ def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
         keys += sizes
         row = counts[lo.bit_count()]
         row += np.bincount(keys, minlength=row.size).reshape(row.shape)
-    profile = [[0] * (n + 1) for _ in range(k + 1)]
+    profile = [[0] * (n + 1) for _ in range(r + 1)]
     nonzero = np.nonzero(counts)
     for hi, low_kept, sigma, c in zip(*(i.tolist() for i in nonzero), counts[nonzero].tolist()):
         out = n - hi - low_kept  # |J| for J outside S; one less outside S + 1
         profile[r - sigma // 2][out] += c
         profile[r - (sigma + 1) // 2][out - 1] += c
-    return tuple(map(tuple, profile))
+    return profile
+
+
+@lru_cache(maxsize=128)
+def _subset_sum_profile(m: BinMatrix) -> tuple[tuple[int, ...], ...]:
+    """profile[d][s]: the number of s-column subsets J with rank(M_J) = d.
+
+    A profile does not depend on column order, so M counts as [I_r | T]: the
+    reduced basis's r pivot columns, then its tails on the n - r others.
+    _systematic_profile transforms over the pivot bits, O(r 2^n). Above half
+    rate, 2r > n, it takes the dual code instead: the parity-check matrix
+    [I_{n-r} | T^T], one row per non-pivot column j, e_j plus the pivots of
+    the basis vectors with bit j set. Its matroid is M's dual, rank*(X) =
+    |X| - r + rank(E - X) (Oxley, Matroid Theory, ch. 2), so
+    profile[d][s] = profile_H[d + n - r - s][n - s], 0 outside H's ranks.
+    The transformed side has rank min(r, n - r) <= 13 under exact_method's
+    cap, so its counts fit 8- or 16-bit lanes.
+    """
+    n, k = m.cols, m.rows
+    if n == 0:  # only the empty set, of rank 0
+        return ((1,),) + ((0,),) * k
+    basis = reduced_basis(m)
+    r = len(basis)
+    pivots = {b.bit_length() - 1 for b in basis}
+    others = [j for j in range(n) if j not in pivots]
+    tails = [sum((b >> j & 1) << t for t, j in enumerate(others)) for b in basis]
+    if 2 * r <= n:
+        profile = _systematic_profile(tails, n - r)
+        return tuple(map(tuple, profile)) + ((0,) * (n + 1),) * (k - r)
+    # Row j of the parity-check matrix has tail bit i when basis vector i has
+    # bit j of its own tail: T transposed.
+    dual = _systematic_profile(
+        [sum((t >> j & 1) << i for i, t in enumerate(tails)) for j in range(n - r)], r
+    )
+    return tuple(
+        tuple(dual[e][n - s] if 0 <= (e := d + n - r - s) <= n - r else 0 for s in range(n + 1))
+        for d in range(k + 1)
+    )
 
 
 def _profile_law(m: BinMatrix, delta: float) -> list[float]:

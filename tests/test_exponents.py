@@ -400,6 +400,17 @@ class TestCharacteristicRates:
             assert random_coding_exponent(rc - 0.01, ChannelSpec("bsc", eps)).theta_star == 1.0
             assert random_coding_exponent(rc + 0.01, ChannelSpec("bsc", eps)).theta_star < 1.0 - 1e-6
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6, 0.11])
+    def test_critical_rate_against_60_digits(self, eps):
+        # ln(1 - eps) as log1p(-eps): through 1.0 - eps it was 8.3e-8 relative
+        # off at eps = 1e-10 and 2.9e-11 at 1e-6.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = Decimal(eps)
+            a, b = (1 - e) ** 2, e * e
+            want = float(-(a * (1 - e).ln() + b * e.ln()) / (a + b))
+        assert abs(critical_rate(eps) - want) <= 1e-15 * want
+
     def test_critical_rate_limit_toward_half(self):
         assert abs(critical_rate(0.4999999) - LN2) <= 1e-5
 

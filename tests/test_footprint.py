@@ -1,15 +1,18 @@
-"""Peak memory of one Monte Carlo estimate and of one long curve written as
-CSV, traced by tracemalloc, which sees numpy's buffers. Both work a block at
-a time, so neither peak grows with the sample or rate count. A curve holds
-its three columns once: the table takes over the arrays `curve` solved into."""
+"""Peak memory of one Monte Carlo estimate, of one long curve written as CSV
+and of one high-rate rank profile, traced by tracemalloc, which sees numpy's
+buffers. The first two work a block at a time, so neither peak grows with the
+sample or rate count. A curve holds its three columns once: the table takes
+over the arrays `curve` solved into. A profile's count table takes the lane
+of the lower-rank side, the code or its dual."""
+import itertools
 import tracemalloc
 
 import pytest
 
 from leakexp.channels import ChannelSpec
 from leakexp.exponents import curve
-from leakexp.gf2 import random_matrix
-from leakexp.leakage import mc_p_ml_erasure
+from leakexp.gf2 import random_matrix, rank
+from leakexp.leakage import _subset_sum_profile, mc_p_ml_erasure
 
 
 def traced_peak_mb(fn) -> float:
@@ -40,3 +43,11 @@ def test_longest_curve_holds_its_columns_once():
     # would take the peak past 45 MB.
     spec = ChannelSpec("bsc", 0.11)
     assert traced_peak_mb(lambda: curve("er-bsc", spec, 0.0, 0.69, 10**6)) < 30.0
+
+
+def test_high_rate_profile_peak():
+    # Full-rank 20 x 22: the dual code has rank 2, so the 2^22 counts take a
+    # 4 MB uint8 table; counted on the rank-20 side they would need 16 MB of
+    # uint32.
+    m = next(m for s in itertools.count() if rank(m := random_matrix(20, 22, s)) == 20)
+    assert traced_peak_mb(lambda: _subset_sum_profile.__wrapped__(m)) < 6.0
